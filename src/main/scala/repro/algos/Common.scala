@@ -8,19 +8,19 @@ import repro.core._
 object Common {
   import Cells.Tid
 
-  /** Per-FD winning pattern per LHS group:
-    * `(lhsKey, winner, winCnt, grpSize, nDistinct)`.
-    *
-    * `tieLexicMin = true` breaks count ties by the lexicographically
-    * smallest RHS value (Holistic's deterministic-but-arbitrary pick);
-    * `false` by the largest (BigDansing's).
-    */
   /** Missing-value tokens never win a repair vote: real repair candidates
     * come from the active domain, and "repairing" toward NULL has
     * unbounded cost in every cost model.
     */
   val MvTokens: Seq[String] = Seq("", "N/A", "UNKNOWN", "999", "null")
 
+  /** Per-FD winning pattern per LHS group:
+    * `(lhsKey, winner, winCnt, grpSize, nDistinct, nAtMax)`.
+    *
+    * `tieLexicMin = true` breaks count ties by the lexicographically
+    * smallest RHS value (Holistic's deterministic-but-arbitrary pick);
+    * `false` by the largest (BigDansing's).
+    */
   def fdWinners(df: DataFrame, fd: FD, tieLexicMin: Boolean = true): DataFrame = {
     val pats = Violations.fdPatternCounts(df, fd)
     val ord  = if (tieLexicMin) F.col("rhsVal").asc else F.col("rhsVal").desc

@@ -28,8 +28,8 @@ object Horizon extends RepairAlgorithm {
       // one for its LHS value (support >= 2, no ties)
       val fixes = Common.fdMajorityRepairs(df, fd, tieLexicMin = true,
         minSupport = 2L, skipTies = true)
-      // checkpoint per pass: ten chained melt/join/pivot plans otherwise
-      // make Catalyst re-optimize an ever-growing tree
+      // checkpoint per pass: ten chained repair plans otherwise make
+      // Catalyst re-optimize an ever-growing tree
       df = Cells.applyRepairs(df, in.attrs, fixes).localCheckpoint()
     }
     RepairResult(df)

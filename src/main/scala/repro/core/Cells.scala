@@ -22,30 +22,24 @@ object Cells {
     df.selectExpr(Tid, s"stack(${attrs.size}, $stackArgs) as (attr, value)")
   }
 
-  /** Inverse of [[melt]]: pivot `(__tid, attr, value)` back to wide form. */
-  def unmelt(cells: DataFrame, attrs: Seq[String]): DataFrame =
-    cells
-      .groupBy(F.col(Tid))
-      .pivot("attr", attrs)
-      .agg(F.first("value"))
-      .select(F.col(Tid) +: attrs.map(F.col): _*)
-
   /** Apply cell repairs `(__tid, attr, value)` to `dirty`, returning the
     * repaired wide relation. Cells absent from `repairs` keep their value;
     * duplicate proposals for one cell resolve to an arbitrary single one.
     */
   def applyRepairs(dirty: DataFrame, attrs: Seq[String], repairs: DataFrame): DataFrame = {
+    // dedupe before folding: map_from_entries rejects duplicate keys.
     // localCheckpoint: repair sets are tiny but their lineage (unions of
     // window/join subplans, one per rule) makes Catalyst re-optimize a
     // huge plan for every downstream action — materialize and cut it
-    val rep = repairs
+    val fix = repairs
       .groupBy(F.col(Tid), F.col("attr"))
-      .agg(F.first("value").as("__fix"))
+      .agg(F.first("value").as("value"))
+      .groupBy(F.col(Tid))
+      .agg(F.map_from_entries(F.collect_list(F.struct(F.col("attr"), F.col("value")))).as("__fix"))
       .localCheckpoint()
-    val fixed = melt(dirty, attrs)
-      .join(rep, Seq(Tid, "attr"), "left")
-      .select(F.col(Tid), F.col("attr"), F.coalesce(F.col("__fix"), F.col("value")).as("value"))
-    unmelt(fixed, attrs)
+    dirty.join(fix, Seq(Tid), "left")
+      .select(F.col(Tid) +: attrs.map(a =>
+        F.coalesce(F.element_at(F.col("__fix"), F.lit(a)), F.col(a)).as(a)): _*)
   }
 
   /** Cells where `before` and `after` differ: `(__tid, attr, old, new)`. */

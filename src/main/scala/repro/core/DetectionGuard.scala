@@ -14,14 +14,15 @@ import org.apache.spark.sql.{DataFrame, functions => F}
 object DetectionGuard {
   import Cells.Tid
 
-  /** Revert changes of `result` on cells not present in `detections`. */
+  /** Revert changes of `result` on cells not present in `detections`:
+    * flagged cells take the repaired value, every other cell keeps the
+    * dirty one.
+    */
   def guard(dirty: DataFrame, attrs: Seq[String], result: RepairResult,
             detections: DataFrame): RepairResult = {
     val det = detections.select(F.col(Tid), F.col("attr")).distinct()
-    val keptRepairs = Cells.changedCells(dirty, result.repaired, attrs)
-      .join(det, Seq(Tid, "attr"))
-      .select(F.col(Tid), F.col("attr"), F.col("new").as("value"))
-    RepairResult(Cells.applyRepairs(dirty, attrs, keptRepairs), Some(det))
+    val flagged = Cells.melt(result.repaired, attrs).join(det, Seq(Tid, "attr"))
+    RepairResult(Cells.applyRepairs(dirty, attrs, flagged), Some(det))
   }
 
   /** Wrap `algo` so every run is detection-guarded. */

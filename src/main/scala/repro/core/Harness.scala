@@ -4,8 +4,8 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.data.{DataGen, Datasets, GeneratedDataset}
 import repro.detect.Raha
 
-/** Shared experiment harness for Tables 4, 5 and 6 (used by both the
-  * `jobs/` spark-submit entrypoints and the `bench/` suites).
+/** Shared experiment harness for Tables 4, 5 and 6 (used by the `bench/`
+  * suites).
   *
   * Each run executes inside a dedicated thread with a Spark job group so
   * the paper's 24 h timeout can be reproduced at a configurable scale:
@@ -54,15 +54,15 @@ object Harness {
     val groupId = s"${algo.name}-${gd.name}-${System.nanoTime()}"
 
     @volatile var result: Option[Either[Throwable, (RepairResult, Double)]] = None
+    val start = System.nanoTime()
+    def elapsed: Double = (System.nanoTime() - start) / 1e9
     val t = new Thread(() => {
       try {
         spark.sparkContext.setJobGroup(groupId, s"${algo.name} on ${gd.name}",
           interruptOnCancel = true)
-        val start = System.nanoTime()
         val res = algo.repair(in)
         res.repaired.cache().count() // materialize: repair ends here
-        val secs = (System.nanoTime() - start) / 1e9
-        result = Some(Right((res, secs)))
+        result = Some(Right((res, elapsed)))
       } catch {
         case e: Throwable => result = Some(Left(e))
       } finally spark.sparkContext.clearJobGroup()
@@ -79,7 +79,7 @@ object Harness {
         t.join(10000)
         RunOutcome(algo.name, algo.category, gd.name, "n/a", None, budgetMs / 1e3)
       case Some(Left(_: BudgetExceeded)) =>
-        RunOutcome(algo.name, algo.category, gd.name, "n/a", None, budgetMs / 1e3)
+        RunOutcome(algo.name, algo.category, gd.name, "n/a", None, elapsed)
       case Some(Left(_: SimulatedOOM)) =>
         RunOutcome(algo.name, algo.category, gd.name, "n/a*", None, 0.0)
       case Some(Left(e)) =>

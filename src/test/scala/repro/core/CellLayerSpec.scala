@@ -1,0 +1,117 @@
+package repro.core
+
+import org.apache.spark.sql.DataFrame
+import org.scalacheck.Gen
+import org.scalacheck.rng.Seed
+import repro.{ReproSpec, TestUtil}
+import repro.algos.Common
+
+/** Properties of the cell layer (write-back, scoring, guarding) on random
+  * small relations, each checked against a driver-side recount.
+  */
+object CellLayerSpec {
+  type Cell = (Long, String)
+
+  /** A clean relation, its dirty copy, proposed repairs and flagged cells. */
+  final case class Case(attrs: Seq[String], clean: Seq[Seq[String]], dirty: Seq[Seq[String]],
+                        repairs: Seq[(Long, String, String)], detections: Seq[Cell])
+}
+
+class CellLayerSpec extends ReproSpec {
+
+  import CellLayerSpec._
+
+  private val value = Gen.oneOf("x", "y", "z", "")
+
+  private val genCase: Gen[Case] = for {
+    nAttrs <- Gen.choose(1, 3)
+    nRows  <- Gen.choose(1, 6)
+    attrs   = Seq("a", "b", "c").take(nAttrs)
+    clean  <- Gen.listOfN(nRows, Gen.listOfN(nAttrs, value))
+    noise  <- Gen.listOfN(nRows, Gen.listOfN(nAttrs,
+                Gen.frequency(2 -> Gen.const(None), 1 -> value.map(Option(_)))))
+    dirty   = clean.zip(noise).map { case (row, ns) =>
+                row.zip(ns).map { case (v, n) => n.getOrElse(v) } }
+    cell    = Gen.zip(Gen.choose(0L, nRows - 1L), Gen.oneOf(attrs))
+    nRep   <- Gen.choose(0, 8)
+    repairs <- Gen.listOfN(nRep, Gen.zip(cell, value).map { case ((t, a), v) => (t, a, v) })
+    nDet   <- Gen.choose(0, 8)
+    detections <- Gen.listOfN(nDet, cell)
+  } yield Case(attrs, clean, dirty, repairs, detections)
+
+  /** Cases sampled deterministically, one seed each. */
+  private val cases: Seq[Case] =
+    (0 until 25).flatMap(i => genCase.apply(Gen.Parameters.default, Seed(i.toLong)))
+
+  /** Wide rows as a `cell -> value` map. */
+  private def cellsOf(attrs: Seq[String], rows: Seq[Seq[String]]): Map[Cell, String] =
+    (for ((row, t) <- rows.zipWithIndex; (a, v) <- attrs.zip(row)) yield (t.toLong, a) -> v).toMap
+
+  private def collected(c: Case, df: DataFrame): Map[Cell, String] =
+    for ((t, row) <- TestUtil.toMap(df, c.attrs); (a, v) <- c.attrs.zip(row)) yield (t, a) -> v
+
+  private def ratio(n: Long, d: Long): Double = if (d == 0) 0.0 else n.toDouble / d
+  private def f1(p: Double, r: Double): Double = if (p + r == 0) 0.0 else 2 * p * r / (p + r)
+
+  /** The Section 4.1 metrics recounted cell by cell. */
+  private def recount(dirty: Map[Cell, String], repaired: Map[Cell, String],
+                      clean: Map[Cell, String], detections: Option[Set[Cell]]): RepairEval = {
+    val cells = dirty.keys.toSeq
+    def n(p: Cell => Boolean): Long = cells.count(p).toLong
+    val oec = n(c => dirty(c) != clean(c))
+    val dec = n(c => dirty(c) != clean(c) && repaired(c) == clean(c))
+    val iec = n(c => dirty(c) == clean(c) && repaired(c) != clean(c))
+    val changed = n(c => repaired(c) != dirty(c))
+    val det = detections.getOrElse(cells.filter(c => repaired(c) != dirty(c)).toSet)
+    val hit = det.count(c => dirty.get(c).exists(_ != clean(c))).toLong
+    val (erP, erR) = (ratio(dec, changed), ratio(dec, oec))
+    val (edP, edR) = (ratio(hit, det.size.toLong), ratio(hit, oec))
+    RepairEval(oec, dec, iec, changed,
+      edr = if (oec == 0) 0.0 else (dec - iec).toDouble / oec,
+      erPrecision = erP, erRecall = erR, erF1 = f1(erP, erR),
+      edPrecision = edP, edRecall = edR, edF1 = f1(edP, edR))
+  }
+
+  test("applyRepairs matches a driver-side reference on random relations") {
+    for (c <- cases) {
+      val dirty = TestUtil.mkDf(spark, c.attrs)(c.dirty: _*)
+      val out = collected(c, Cells.applyRepairs(dirty, c.attrs, Common.repairsDf(dirty, c.repairs)))
+      val proposals = c.repairs.groupBy(r => (r._1, r._2))
+        .map { case (k, rs) => k -> rs.map(_._3).toSet }
+      val dirtyCells = cellsOf(c.attrs, c.dirty)
+      assert(out.keySet === dirtyCells.keySet, c)
+      for ((cell, v) <- out)
+        assert(proposals.get(cell).fold(v == dirtyCells(cell))(_.contains(v)), s"$cell=$v in $c")
+    }
+  }
+
+  test("evaluate matches a cell-by-cell recount, with and without detections") {
+    for (c <- cases) {
+      val dirty = TestUtil.mkDf(spark, c.attrs)(c.dirty: _*)
+      val clean = TestUtil.mkDf(spark, c.attrs)(c.clean: _*)
+      val repaired = Cells.applyRepairs(dirty, c.attrs, Common.repairsDf(dirty, c.repairs)).cache()
+      val (d, r, k) = (cellsOf(c.attrs, c.dirty), collected(c, repaired), cellsOf(c.attrs, c.clean))
+      assert(Metrics.evaluate(dirty, repaired, clean, c.attrs) === recount(d, r, k, None), c)
+      val det = Common.detectionsDf(dirty, c.detections)
+      assert(Metrics.evaluate(dirty, repaired, clean, c.attrs, Some(det)) ===
+        recount(d, r, k, Some(c.detections.toSet)), c)
+      repaired.unpersist()
+    }
+  }
+
+  test("guard changes only flagged cells and never raises IEC") {
+    for (c <- cases) {
+      val dirty = TestUtil.mkDf(spark, c.attrs)(c.dirty: _*)
+      val repaired = Cells.applyRepairs(dirty, c.attrs, Common.repairsDf(dirty, c.repairs)).cache()
+      val guarded = DetectionGuard.guard(dirty, c.attrs, RepairResult(repaired),
+        Common.detectionsDf(dirty, c.detections))
+      val (d, r, k) = (cellsOf(c.attrs, c.dirty), collected(c, repaired), cellsOf(c.attrs, c.clean))
+      val g = collected(c, guarded.repaired)
+      val flagged = c.detections.toSet
+      for (cell <- d.keys)
+        assert(g(cell) === (if (flagged(cell)) r(cell) else d(cell)), s"$cell in $c")
+      assert(recount(d, g, k, None).iec <= recount(d, r, k, None).iec, c)
+      repaired.unpersist()
+    }
+  }
+}

@@ -33,11 +33,6 @@ class CellsSpec extends ReproSpec {
       "t" -> df)
   }
 
-  test("unmelt inverts melt") {
-    val back = Cells.unmelt(Cells.melt(df, attrs), attrs)
-    assert(TestUtil.toMap(back, attrs) === TestUtil.toMap(df, attrs))
-  }
-
   test("applyRepairs rewrites targeted cells only") {
     val reps = TestUtil.mkDf(spark, Seq("attr", "value"))(Seq("b", "FIXED"))
       .select(F.lit(1L).as(Cells.Tid), F.col("attr"), F.col("value"))

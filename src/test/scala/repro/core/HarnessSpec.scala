@@ -25,6 +25,8 @@ class HarnessSpec extends ReproSpec {
       val o = Harness.runOne(Relative, gd, budgetMs = 120000)
       assert(o.status === "n/a")
       assert(o.eval.isEmpty)
+      // a counted-budget trip reports the time it took, not the wall-clock budget
+      assert(o.repairSeconds > 0 && o.repairSeconds < 30, s"${o.repairSeconds}s")
     } finally gd.unpersist()
   }
 
