@@ -35,13 +35,9 @@ object Baran extends RepairAlgorithm {
   )
 
   override def repair(in: RepairInput): RepairResult = {
-    val tab = Common.collect(in.dirty, in.attrs)
-    val detections: Set[(Long, String)] = in.detections match {
-      case Some(det) => det.collect().map(r => (r.getLong(0), r.getString(1))).toSet
-      case None =>
-        Violations.violatingCells(in.dirty, in.rules)
-          .collect().map(r => (r.getLong(0), r.getString(1))).toSet
-    }
+    val tab = in.table
+    val detections =
+      Cells.cellSet(in.detections.getOrElse(Violations.violatingCells(in.dirty, in.rules)))
 
     // ---- labeled corrections: (attr, dirtyValue, cleanValue) ----
     val corrections: Seq[(String, String, String)] = in.labeled.toSeq.flatMap {
@@ -149,8 +145,6 @@ object Baran extends RepairAlgorithm {
       }
     }
 
-    RepairResult(
-      Cells.applyRepairs(in.dirty, in.attrs, Common.repairsDf(in.dirty, fixes.toSeq)),
-      in.detections)
+    RepairResult(Cells.writeBack(in.spark, tab, fixes.toSeq), in.detections)
   }
 }

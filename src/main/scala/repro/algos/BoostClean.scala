@@ -21,15 +21,13 @@ object BoostClean extends RepairAlgorithm {
   /** Boosting rounds (size of the composed repair sequence). */
   private val Rounds = 6
 
-  private val MvTokens = Set("", "N/A", "UNKNOWN", "999", "null")
-
   private sealed trait Action { def attr: String; def label: String }
   private final case class ImputeMode(attr: String)   extends Action { val label = s"mode($attr)" }
   private final case class ImputeMean(attr: String)   extends Action { val label = s"mean($attr)" }
   private final case class ImputeMedian(attr: String) extends Action { val label = s"median($attr)" }
 
   override def repair(in: RepairInput): RepairResult = {
-    val tab = Common.collect(in.dirty, in.attrs)
+    val tab = in.table
     val n = tab.tids.length
     val target = in.classTarget.getOrElse(in.attrs.last)
     val targetJ = tab.attrIdx(target)
@@ -51,7 +49,7 @@ object BoostClean extends RepairAlgorithm {
     val rareBar = math.max(1, n / 100)
     def flaggedRows(j: Int): Seq[Int] = tab.rows.indices.filter { i =>
       val v = tab.rows(i)(j)
-      MvTokens.contains(v) || freq(j)(v) <= rareBar ||
+      Tabular.MvTokens.contains(v) || freq(j)(v) <= rareBar ||
         (isNumericCol(j) && parseNum(v).isEmpty)
     }
     val flaggedByAttr: Array[Seq[Int]] = in.attrs.indices.map(flaggedRows).toArray
@@ -137,15 +135,10 @@ object BoostClean extends RepairAlgorithm {
       round += 1
     }
 
-    val fixes = for {
-      i <- tab.rows.indices
-      j <- in.attrs.indices
-      if current(i)(j) != tab.rows(i)(j)
-    } yield (tab.tids(i), in.attrs(j), current(i)(j))
     val detections = sequence.flatMap(a =>
       flaggedByAttr(tab.attrIdx(a.attr)).map(i => (tab.tids(i), a.attr))).distinct
     RepairResult(
-      Cells.applyRepairs(in.dirty, in.attrs, Common.repairsDf(in.dirty, fixes)),
+      Cells.publish(in.spark, tab.copy(rows = current)),
       Some(Common.detectionsDf(in.dirty, detections.toSeq)))
   }
 

@@ -8,12 +8,6 @@ import repro.core._
 object Common {
   import Cells.Tid
 
-  /** Missing-value tokens never win a repair vote: real repair candidates
-    * come from the active domain, and "repairing" toward NULL has
-    * unbounded cost in every cost model.
-    */
-  val MvTokens: Seq[String] = Seq("", "N/A", "UNKNOWN", "999", "null")
-
   /** Per-FD winning pattern per LHS group:
     * `(lhsKey, winner, winCnt, grpSize, nDistinct, nAtMax)`.
     *
@@ -24,7 +18,7 @@ object Common {
   def fdWinners(df: DataFrame, fd: FD, tieLexicMin: Boolean = true): DataFrame = {
     val pats = Violations.fdPatternCounts(df, fd)
     val ord  = if (tieLexicMin) F.col("rhsVal").asc else F.col("rhsVal").desc
-    val mvLast = F.when(F.col("rhsVal").isin(MvTokens: _*), 1).otherwise(0)
+    val mvLast = F.when(F.col("rhsVal").isin(Tabular.MvTokens: _*), 1).otherwise(0)
     val w    = Window.partitionBy("lhsKey").orderBy(F.col("cnt").desc, mvLast.asc, ord)
     val tot  = Window.partitionBy("lhsKey")
     pats
@@ -112,34 +106,6 @@ object Common {
   /** DCs that are not FDs in disguise. */
   def pureDcs(rules: Seq[Rule]): Seq[DC] = rules.collect {
     case dc: DC if Rule.dcAsFd(dc).isEmpty => dc
-  }
-
-  /** Driver-side snapshot of a relation, ordered by tid. */
-  final case class Tabular(tids: Array[Long], rows: Array[Array[String]],
-                           attrs: Seq[String]) {
-    val attrIdx: Map[String, Int] = attrs.zipWithIndex.toMap
-    val tidIdx: Map[Long, Int]    = tids.zipWithIndex.toMap
-    def value(tid: Long, attr: String): String = rows(tidIdx(tid))(attrIdx(attr))
-  }
-
-  /** Collect a relation to the driver (datasets are main-memory scale,
-    * matching the paper's Section 7 note).
-    */
-  def collect(df: DataFrame, attrs: Seq[String]): Tabular = {
-    val rows = df.select(F.col(Tid) +: attrs.map(F.col): _*)
-      .collect()
-      .sortBy(_.getLong(0))
-    Tabular(
-      rows.map(_.getLong(0)),
-      rows.map(r => Array.tabulate(attrs.size)(j => r.getString(j + 1))),
-      attrs)
-  }
-
-  /** Publish driver-side cell repairs as a `(__tid, attr, value)` frame. */
-  def repairsDf(df: DataFrame, fixes: Seq[(Long, String, String)]): DataFrame = {
-    val spark = df.sparkSession
-    if (fixes.isEmpty) Cells.noRepairs(df)
-    else spark.createDataFrame(fixes).toDF(Tid, "attr", "value")
   }
 
   /** Detected-cell frame from driver-side pairs. */

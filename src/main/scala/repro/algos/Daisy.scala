@@ -21,16 +21,13 @@ object Daisy extends RepairAlgorithm {
   private val CommitProbability = 0.9995
 
   override def repair(in: RepairInput): RepairResult = {
-    val tab = Common.collect(in.dirty, in.attrs)
+    val tab = in.table
     val fixes = scala.collection.mutable.ArrayBuffer.empty[(Long, String, String)]
     val detected = scala.collection.mutable.ArrayBuffer.empty[(Long, String)]
 
     for (fd <- in.fds) {
       in.budget.checkTime(s"$name ${fd.id}")
-      val groups = tab.tids.indices.groupBy { i =>
-        fd.lhs.map(a => tab.rows(i)(tab.attrIdx(a))).mkString("")
-      }
-      for ((_, members) <- groups if members.size > 1) {
+      for ((_, members) <- tab.groupBy(fd.lhs) if members.size > 1) {
         val rhs = members.map(i => tab.rows(i)(tab.attrIdx(fd.rhs)))
         if (rhs.distinct.size > 1) {
           // probabilistic candidate set: similarity-weighted value mass
@@ -58,10 +55,7 @@ object Daisy extends RepairAlgorithm {
       }
       val depAttrs = dc.attrs.filterNot(eqAttrs.contains)
       if (eqAttrs.nonEmpty && depAttrs.nonEmpty) {
-        val blocks = tab.tids.indices.groupBy { i =>
-          eqAttrs.map(a => tab.rows(i)(tab.attrIdx(a))).mkString("")
-        }
-        for ((_, members) <- blocks if members.size > 1) {
+        for ((_, members) <- tab.groupBy(eqAttrs) if members.size > 1) {
           val arr = members.toArray
           val mass = scala.collection.mutable.Map.empty[(String, String), Double]
             .withDefaultValue(0.0)
@@ -92,7 +86,7 @@ object Daisy extends RepairAlgorithm {
     }
 
     RepairResult(
-      Cells.applyRepairs(in.dirty, in.attrs, Common.repairsDf(in.dirty, fixes.toSeq)),
+      Cells.writeBack(in.spark, tab, fixes.toSeq),
       Some(Common.detectionsDf(in.dirty, detected.toSeq.distinct)))
   }
 

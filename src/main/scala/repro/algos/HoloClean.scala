@@ -42,16 +42,12 @@ object HoloClean extends RepairAlgorithm {
     */
   private val MinScore = 0.001
 
-  private val MvTokens = Set("", "N/A", "UNKNOWN", "999", "null")
-
   override def repair(in: RepairInput): RepairResult = {
-    val tab = Common.collect(in.dirty, in.attrs)
+    val tab = in.table
     val n = tab.tids.length
 
     // ---- internal error detection (weak supervision signals) ----
-    val violationCells: Set[(Long, String)] =
-      Violations.violatingCells(in.dirty, in.rules)
-        .collect().map(r => (r.getLong(0), r.getString(1))).toSet
+    val violationCells = Cells.cellSet(Violations.violatingCells(in.dirty, in.rules))
     val freq: Array[Map[String, Int]] = in.attrs.indices.map { j =>
       tab.rows.indices.groupBy(i => tab.rows(i)(j)).view.mapValues(_.size).toMap
     }.toArray
@@ -59,7 +55,7 @@ object HoloClean extends RepairAlgorithm {
     for (i <- tab.rows.indices; j <- in.attrs.indices) {
       val v = tab.rows(i)(j)
       val cell = (tab.tids(i), in.attrs(j))
-      if (MvTokens.contains(v) || freq(j)(v) <= 1 || violationCells.contains(cell))
+      if (Tabular.MvTokens.contains(v) || freq(j)(v) <= 1 || violationCells.contains(cell))
         detected += cell
     }
 
@@ -81,10 +77,7 @@ object HoloClean extends RepairAlgorithm {
     val fdByRhs: Map[String, Seq[FD]] = Rule.asFds(in.rules).groupBy(_.rhs)
     // per-FD LHS-group index so rule support is O(group), not O(n)
     val fdGroupIndex: Map[FD, Map[String, Seq[Int]]] =
-      Rule.asFds(in.rules).map { fd =>
-        fd -> tab.rows.indices.groupBy(i =>
-          fd.lhs.map(a => tab.rows(i)(tab.attrIdx(a))).mkString("")).view.mapValues(_.toSeq).toMap
-      }.toMap
+      Rule.asFds(in.rules).map(fd => fd -> tab.groupBy(fd.lhs)).toMap
 
     val fixes = scala.collection.mutable.ArrayBuffer.empty[(Long, String, String)]
     var processed = 0
@@ -105,7 +98,7 @@ object HoloClean extends RepairAlgorithm {
           // can never be a missing value
           for (m <- mates if m != i) {
             val v = tab.rows(m)(j)
-            if (!MvTokens.contains(v)) { tally(v) += 1; total += 1 }
+            if (!Tabular.MvTokens.contains(v)) { tally(v) += 1; total += 1 }
           }
         }
       }
@@ -116,8 +109,7 @@ object HoloClean extends RepairAlgorithm {
           val fds = fdByRhs.getOrElse(attr, Nil)
           if (fds.isEmpty) 0.0
           else fds.map { fd =>
-            val key = fd.lhs.map(a => tab.rows(i)(tab.attrIdx(a))).mkString("")
-            val mates = fdGroupIndex(fd).getOrElse(key, Nil).filter(_ != i)
+            val mates = fdGroupIndex(fd).getOrElse(tab.key(i, fd.lhs), Nil).filter(_ != i)
             if (mates.isEmpty) 0.0
             else mates.count(m => tab.rows(m)(j) == v).toDouble / mates.size
           }.max
@@ -131,13 +123,13 @@ object HoloClean extends RepairAlgorithm {
         }
         val domain = (tally.keys.toSeq :+ observed).distinct
         val best = domain.map(v => (v, score(v))).sortBy { case (v, s) => (-s, v) }.head
-        if (best._1 != observed && !MvTokens.contains(best._1) && best._2 >= MinScore)
+        if (best._1 != observed && !Tabular.MvTokens.contains(best._1) && best._2 >= MinScore)
           fixes += ((tid, attr, best._1))
       }
     }
 
     RepairResult(
-      Cells.applyRepairs(in.dirty, in.attrs, Common.repairsDf(in.dirty, fixes.toSeq)),
+      Cells.writeBack(in.spark, tab, fixes.toSeq),
       Some(Common.detectionsDf(in.dirty, detected.toSeq)))
   }
 }

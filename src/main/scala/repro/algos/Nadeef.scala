@@ -22,7 +22,7 @@ object Nadeef extends RepairAlgorithm {
     val attrs = in.attrs
     val nAttrs = attrs.size
     val attrIdx = attrs.zipWithIndex.toMap
-    var tab = Common.collect(in.dirty, attrs)
+    var tab = in.table
     var anyChange = true
     var round = 0
 
@@ -41,10 +41,7 @@ object Nadeef extends RepairAlgorithm {
       val valueAnchor = scala.collection.mutable.Map.empty[(String, String), Long]
       for (fd <- Rule.asFds(in.rules)) {
         val j = attrIdx(fd.rhs)
-        val groups = tab.tids.indices.groupBy { i =>
-          fd.lhs.map(a => tab.rows(i)(attrIdx(a))).mkString("")
-        }
-        for ((_, members) <- groups if members.size > 1) {
+        for ((_, members) <- tab.groupBy(fd.lhs) if members.size > 1) {
           val rhsVals = members.map(i => tab.rows(i)(attrIdx(fd.rhs)))
           if (rhsVals.distinct.size > 1) {
             val first = cellId(tab.tids(members.head), fd.rhs)
@@ -70,7 +67,7 @@ object Nadeef extends RepairAlgorithm {
           (cid, tab.value(tid, a))
         }
         val counts = vals.groupBy(_._2).toSeq
-        val nonMv = counts.filterNot { case (v, _) => Common.MvTokens.contains(v) }
+        val nonMv = counts.filterNot { case (v, _) => Tabular.MvTokens.contains(v) }
         val pool = if (nonMv.nonEmpty) nonMv else counts
         val winner = pool
           .maxBy { case (v, vs) => (vs.size, v) }(
@@ -84,28 +81,11 @@ object Nadeef extends RepairAlgorithm {
         }
       }
 
-      if (anyChange) {
-        val byTid = fixes.groupBy(_._1)
-        val newRows = tab.rows.clone()
-        for ((tid, fs) <- byTid) {
-          val i = tab.tidIdx(tid)
-          val row = newRows(i).clone()
-          fs.foreach { case (_, a, v) => row(attrIdx(a)) = v }
-          newRows(i) = row
-        }
-        tab = Common.Tabular(tab.tids, newRows, attrs)
-      }
+      // every cell sits in one class, so a round proposes it at most once
+      if (anyChange) tab = tab.patched(fixes.toSeq)
       round += 1
     }
 
-    // publish the driver-side result back as a repairs frame
-    val orig = Common.collect(in.dirty, attrs)
-    val fixes = for {
-      i <- tab.tids.indices
-      j <- attrs.indices
-      if tab.rows(i)(j) != orig.rows(i)(j)
-    } yield (tab.tids(i), attrs(j), tab.rows(i)(j))
-    val repaired = Cells.applyRepairs(in.dirty, attrs, Common.repairsDf(in.dirty, fixes))
-    RepairResult(repaired)
+    RepairResult(Cells.publish(in.spark, tab))
   }
 }

@@ -23,7 +23,7 @@ object Relative extends RepairAlgorithm {
   override def repair(in: RepairInput): RepairResult = repair(in, DefaultMaxNodes)
 
   def repair(in: RepairInput, maxNodes: Int): RepairResult = {
-    val tab = Common.collect(in.dirty, in.attrs)
+    val tab = in.table
     val fds = Rule.asFds(in.rules)
     if (fds.isEmpty) return RepairResult(in.dirty, None)
 
@@ -38,9 +38,7 @@ object Relative extends RepairAlgorithm {
     /** Minimal data changes for one FD: non-majority tuples per group. */
     def dataCost(fd: FD): Int = {
       visit()
-      val groups = tab.tids.indices.groupBy(i =>
-        fd.lhs.map(a => tab.rows(i)(tab.attrIdx(a))).mkString(""))
-      groups.valuesIterator.map { members =>
+      tab.groupBy(fd.lhs).valuesIterator.map { members =>
         val counts = members.groupBy(i => tab.rows(i)(tab.attrIdx(fd.rhs)))
         if (counts.size <= 1) 0 else members.size - counts.valuesIterator.map(_.size).max
       }.sum
@@ -77,9 +75,7 @@ object Relative extends RepairAlgorithm {
     val chosen = best.map(_._1).getOrElse(fds)
     val fixes = scala.collection.mutable.ArrayBuffer.empty[(Long, String, String)]
     for (fd <- chosen) {
-      val groups = tab.tids.indices.groupBy(i =>
-        fd.lhs.map(a => tab.rows(i)(tab.attrIdx(a))).mkString(""))
-      for ((_, members) <- groups if members.size > 1) {
+      for ((_, members) <- tab.groupBy(fd.lhs) if members.size > 1) {
         val counts = members.groupBy(i => tab.rows(i)(tab.attrIdx(fd.rhs)))
         if (counts.size > 1) {
           val winner = counts.toSeq
@@ -90,7 +86,6 @@ object Relative extends RepairAlgorithm {
         }
       }
     }
-    RepairResult(
-      Cells.applyRepairs(in.dirty, in.attrs, Common.repairsDf(in.dirty, fixes.toSeq)))
+    RepairResult(Cells.writeBack(in.spark, tab, fixes.toSeq))
   }
 }

@@ -29,15 +29,11 @@ object Scare extends RepairAlgorithm {
   private val MaxChangeFraction = 0.002
 
   override def repair(in: RepairInput): RepairResult = {
-    val tab = Common.collect(in.dirty, in.attrs)
+    val tab = in.table
     val n = tab.tids.length
     // partial detection results: external when provided, else rule violations
-    val flagged: Set[(Long, String)] = in.detections match {
-      case Some(det) => det.collect().map(r => (r.getLong(0), r.getString(1))).toSet
-      case None =>
-        Violations.violatingCells(in.dirty, in.rules)
-          .collect().map(r => (r.getLong(0), r.getString(1))).toSet
-    }
+    val flagged =
+      Cells.cellSet(in.detections.getOrElse(Violations.violatingCells(in.dirty, in.rules)))
     val dirtyTids: Set[Long] = flagged.map(_._1)
 
     val nBlocks = math.max(1, n / BlockSize)
@@ -80,7 +76,7 @@ object Scare extends RepairAlgorithm {
       .take(maxChanges)
       .map { case (tid, attr, v, _) => (tid, attr, v) }
     RepairResult(
-      Cells.applyRepairs(in.dirty, in.attrs, Common.repairsDf(in.dirty, bounded)),
+      Cells.writeBack(in.spark, tab, bounded),
       Some(Common.detectionsDf(in.dirty, detected.toSeq.distinct)))
   }
 }

@@ -1,6 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, functions => F}
+import scala.jdk.CollectionConverters._
+import org.apache.spark.sql.{DataFrame, Row, SparkSession, functions => F}
+import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType}
 
 /** Cell-level view over a relation.
   *
@@ -15,6 +17,9 @@ object Cells {
   /** Name of the tuple-id column every dataset carries. */
   val Tid = "__tid"
 
+  /** A cell: `(tid, attr)`. */
+  type Cell = (Long, String)
+
   /** Melt a wide relation into `(__tid, attr, value)` rows via `stack`. */
   def melt(df: DataFrame, attrs: Seq[String]): DataFrame = {
     require(attrs.nonEmpty, "melt needs at least one attribute")
@@ -22,9 +27,35 @@ object Cells {
     df.selectExpr(Tid, s"stack(${attrs.size}, $stackArgs) as (attr, value)")
   }
 
-  /** Apply cell repairs `(__tid, attr, value)` to `dirty`, returning the
-    * repaired wide relation. Cells absent from `repairs` keep their value;
-    * duplicate proposals for one cell resolve to an arbitrary single one.
+  /** Driver write-back: `table` with `fixes` `(tid, attr, value)` applied
+    * and published (see [[publish]]). When two fixes name one cell, the
+    * first in the order of `fixes` (the algorithm's own proposal order)
+    * wins and the later ones are dropped.
+    */
+  def writeBack(spark: SparkSession, table: Tabular,
+                fixes: Seq[(Long, String, String)]): DataFrame =
+    publish(spark, table.patched(fixes))
+
+  /** `table` as a relation: a local relation read as one partition, so
+    * publishing it runs no Spark job and materializing it (a count, a
+    * cache) needs no shuffle.
+    */
+  def publish(spark: SparkSession, table: Tabular): DataFrame = {
+    val schema = StructType(StructField(Tid, LongType, nullable = false) +:
+      table.attrs.map(a => StructField(a, StringType, nullable = false)))
+    val rows = table.tids.indices.map(i => Row.fromSeq(table.tids(i) +: table.rows(i).toSeq))
+    spark.createDataFrame(rows.asJava, schema).coalesce(1)
+  }
+
+  /** The `(__tid, attr)` cells of a detection or repair frame. */
+  def cellSet(df: DataFrame): Set[Cell] =
+    df.select(F.col(Tid), F.col("attr")).collect().map(r => (r.getLong(0), r.getString(1))).toSet
+
+  /** Spark-side write-back, for the algorithms that propose repairs as a
+    * frame: apply cell repairs `(__tid, attr, value)` to `dirty`,
+    * returning the repaired wide relation. Cells absent from `repairs`
+    * keep their value; duplicate proposals for one cell resolve to an
+    * arbitrary single one.
     */
   def applyRepairs(dirty: DataFrame, attrs: Seq[String], repairs: DataFrame): DataFrame = {
     // dedupe before folding: map_from_entries rejects duplicate keys.

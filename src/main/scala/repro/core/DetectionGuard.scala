@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, functions => F}
+import org.apache.spark.sql.DataFrame
 
 /** The paper's unified repair optimization strategy (Section 4.4).
   *
@@ -12,17 +12,24 @@ import org.apache.spark.sql.{DataFrame, functions => F}
   * algorithms toward top-tier EDR.
   */
 object DetectionGuard {
-  import Cells.Tid
 
   /** Revert changes of `result` on cells not present in `detections`:
     * flagged cells take the repaired value, every other cell keeps the
     * dirty one.
     */
   def guard(dirty: DataFrame, attrs: Seq[String], result: RepairResult,
-            detections: DataFrame): RepairResult = {
-    val det = detections.select(F.col(Tid), F.col("attr")).distinct()
-    val flagged = Cells.melt(result.repaired, attrs).join(det, Seq(Tid, "attr"))
-    RepairResult(Cells.applyRepairs(dirty, attrs, flagged), Some(det))
+            detections: DataFrame): RepairResult =
+    guard(Tabular.collect(dirty, attrs), result, detections)
+
+  /** [[guard]] over the driver-side dirty table: the delta of `result`
+    * intersected with the flagged cells, written back onto `table`.
+    */
+  def guard(table: Tabular, result: RepairResult, detections: DataFrame): RepairResult = {
+    val flagged = Cells.cellSet(detections)
+    val kept = table.diff(Tabular.collect(result.repaired, table.attrs)).toSeq.collect {
+      case (cell @ (tid, a), v) if flagged(cell) => (tid, a, v)
+    }
+    RepairResult(Cells.writeBack(detections.sparkSession, table, kept), Some(detections))
   }
 
   /** Wrap `algo` so every run is detection-guarded. */
@@ -32,7 +39,7 @@ object DetectionGuard {
     override def repair(in: RepairInput): RepairResult = {
       val det = in.detections.getOrElse(
         throw new IllegalArgumentException(s"$name requires external detections"))
-      guard(in.dirty, in.attrs, algo.repair(in), det)
+      guard(in.table, algo.repair(in), det)
     }
   }
 }

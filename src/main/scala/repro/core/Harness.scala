@@ -38,10 +38,9 @@ object Harness {
   def inputFor(gd: GeneratedDataset, budget: Budget = Budget.unlimited,
                precomputedDetections: Option[DataFrame] = None): RepairInput = {
     val spark = gd.dirty.sparkSession
-    val det = precomputedDetections.getOrElse(
-      Raha.detect(gd.dirty, gd.attrs, gd.rules, gd.labeled).localCheckpoint())
+    val det = precomputedDetections.getOrElse(Raha.detect(gd.dirty, gd.attrs, gd.rules, gd.labeled))
     RepairInput(spark, gd.name, gd.dirty, gd.attrs, gd.rules, gd.numericAttrs,
-      Some(det), gd.labeled, Some(gd.classTarget), budget)
+      Some(det), gd.labeled, Some(gd.classTarget), budget, Some(gd.table))
   }
 
   /** Run one algorithm on one dataset under a wall-clock budget. */
@@ -53,7 +52,7 @@ object Harness {
     val in = inputFor(gd, budget, precomputedDetections)
     val groupId = s"${algo.name}-${gd.name}-${System.nanoTime()}"
 
-    @volatile var result: Option[Either[Throwable, (RepairResult, Double)]] = None
+    @volatile var result: Option[Either[Throwable, (RepairResult, Tabular, Double)]] = None
     val start = System.nanoTime()
     def elapsed: Double = (System.nanoTime() - start) / 1e9
     val t = new Thread(() => {
@@ -61,8 +60,9 @@ object Harness {
         spark.sparkContext.setJobGroup(groupId, s"${algo.name} on ${gd.name}",
           interruptOnCancel = true)
         val res = algo.repair(in)
-        res.repaired.cache().count() // materialize: repair ends here
-        result = Some(Right((res, elapsed)))
+        // materialize: repair ends here, with the relation on the driver
+        val repaired = Tabular.collect(res.repaired, gd.attrs)
+        result = Some(Right((res, repaired, elapsed)))
       } catch {
         case e: Throwable => result = Some(Left(e))
       } finally spark.sparkContext.clearJobGroup()
@@ -85,9 +85,8 @@ object Harness {
       case Some(Left(e)) =>
         Console.err.println(s"[Harness] ${algo.name} on ${gd.name} failed: $e")
         RunOutcome(algo.name, algo.category, gd.name, "err", None, 0.0)
-      case Some(Right((res, secs))) =>
-        val ev = Metrics.evaluate(gd.dirty, res.repaired, gd.clean, gd.attrs, res.detections)
-        res.repaired.unpersist()
+      case Some(Right((res, repaired, secs))) =>
+        val ev = Metrics.score(gd.errors, gd.table.diff(repaired), res.detections.map(Cells.cellSet))
         RunOutcome(algo.name, algo.category, gd.name, "ok", Some(ev), secs)
     }
   }
@@ -99,7 +98,7 @@ object Harness {
              seed: Long = 7): Seq[RunOutcome] = {
     val datasets = Datasets.generateRealWorld(spark, seed)
     val out = for (gd <- datasets) yield {
-      val det = Raha.detect(gd.dirty, gd.attrs, gd.rules, gd.labeled).localCheckpoint()
+      val det = Raha.detect(gd.dirty, gd.attrs, gd.rules, gd.labeled)
       val rows = algos.map { a =>
         Console.err.println(s"[Table4] ${a.name} on ${gd.name} ...")
         runOne(a, gd, budgetMs, precomputedDetections = Some(det))
@@ -168,7 +167,7 @@ object Harness {
     val dead = scala.collection.mutable.Map.empty[String, String]
     val rows = for (n <- sizes) yield {
       val gd = Datasets.taxSubset(spark, n, seed)
-      val det = Raha.detect(gd.dirty, gd.attrs, gd.rules, gd.labeled).localCheckpoint()
+      val det = Raha.detect(gd.dirty, gd.attrs, gd.rules, gd.labeled)
       val out = algos.map { a =>
         dead.get(a.name) match {
           case Some(status) =>

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, functions => F}
+import org.apache.spark.sql.DataFrame
 
 /** Evaluation of one repair run (Section 4.1 of the paper).
   *
@@ -26,31 +26,22 @@ final case class RepairEval(
 )
 
 object Metrics {
-  import Cells.Tid
+  import Cells.Cell
 
   private def f1(p: Double, r: Double): Double = if (p + r == 0) 0.0 else 2 * p * r / (p + r)
 
   private def ratio(n: Long, d: Long): Double = if (d == 0) 0.0 else n.toDouble / d
 
-  /** Cells where `before` and `after` differ, collected as
-    * `(tid, attr) -> new value`. Error and change sets fit the driver:
-    * about 24k cells on the largest Table 6 subset (4 % of 40k × 15).
+  /** Score a repair from its cell delta, on the driver. `errors` is the
+    * dataset's error set E (cell -> clean value), `changes` the run's delta
+    * Δ (cell -> repaired value). `detections` defaults to the changed cells
+    * when the algorithm reports no explicit detection result (the paper's
+    * "consistent evaluation approach based on the disparities between
+    * repaired and original cells"). Both sets fit the driver: about 24k
+    * cells on the largest Table 6 subset (4 % of 40k × 15).
     */
-  private def diff(before: DataFrame, after: DataFrame,
-                   attrs: Seq[String]): Map[(Long, String), String] =
-    Cells.changedCells(before, after, attrs)
-      .select(F.col(Tid), F.col("attr"), F.col("new")).collect()
-      .map(r => (r.getLong(0), r.getString(1)) -> r.getString(2)).toMap
-
-  /** Evaluate a repair. `detections` defaults to the changed cells when the
-    * algorithm reports no explicit detection result (the paper's "consistent
-    * evaluation approach based on the disparities between repaired and
-    * original cells").
-    */
-  def evaluate(dirty: DataFrame, repaired: DataFrame, clean: DataFrame,
-               attrs: Seq[String], detections: Option[DataFrame] = None): RepairEval = {
-    val errors  = diff(dirty, clean, attrs)    // E: cell -> clean value
-    val changes = diff(dirty, repaired, attrs) // Δ: cell -> repaired value
+  def score(errors: Map[Cell, String], changes: Map[Cell, String],
+            detections: Option[Set[Cell]] = None): RepairEval = {
     val oec = errors.size.toLong
     val changed = changes.size.toLong
     val dec = changes.count { case (c, v) => errors.get(c).contains(v) }.toLong
@@ -59,10 +50,7 @@ object Metrics {
     val erP = ratio(dec, changed)
     val erR = ratio(dec, oec)
 
-    val det = detections
-      .map(_.select(F.col(Tid), F.col("attr")).collect()
-        .map(r => (r.getLong(0), r.getString(1))).toSet)
-      .getOrElse(changes.keySet)
+    val det = detections.getOrElse(changes.keySet)
     val hit = det.count(errors.contains).toLong
     val edP = ratio(hit, det.size.toLong)
     val edR = ratio(hit, oec)
@@ -73,7 +61,20 @@ object Metrics {
       edPrecision = edP, edRecall = edR, edF1 = f1(edP, edR))
   }
 
+  /** Evaluate a repair given as relations: collects them to the driver
+    * and [[score]]s the two diffs. The harness scores from the dataset's
+    * stored table and error set instead.
+    */
+  def evaluate(dirty: DataFrame, repaired: DataFrame, clean: DataFrame,
+               attrs: Seq[String], detections: Option[DataFrame] = None): RepairEval = {
+    val d = Tabular.collect(dirty, attrs)
+    score(d.diff(Tabular.collect(clean, attrs)), d.diff(Tabular.collect(repaired, attrs)),
+      detections.map(Cells.cellSet))
+  }
+
   /** Measured error rate of `dirty` against `clean` (Table 5). */
-  def errorRate(dirty: DataFrame, clean: DataFrame, attrs: Seq[String]): Double =
-    ratio(Cells.changedCells(dirty, clean, attrs).count(), dirty.count() * attrs.size)
+  def errorRate(dirty: DataFrame, clean: DataFrame, attrs: Seq[String]): Double = {
+    val d = Tabular.collect(dirty, attrs)
+    ratio(d.diff(Tabular.collect(clean, attrs)).size, d.tids.length.toLong * attrs.size)
+  }
 }

@@ -9,6 +9,10 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   * - `detections`: cells flagged by an external detector (Raha) — ADR/PDR
   * - `labeled`: clean values of the 20 labeled tuples — LD
   * - `classTarget`: label column for the downstream model — DM
+  * - `dirtyTable`: `dirty` on the driver, when the caller already holds it
+  *   (the harness passes the generator's copy); otherwise [[table]]
+  *   collects it once, on first use. A `copy` with another `dirty` must
+  *   reset it.
   */
 final case class RepairInput(
     spark: SparkSession,
@@ -21,7 +25,11 @@ final case class RepairInput(
     labeled: Map[(Long, String), String] = Map.empty,
     classTarget: Option[String] = None,
     budget: Budget = Budget.unlimited,
+    dirtyTable: Option[Tabular] = None,
 ) {
+  /** The dirty relation on the driver. */
+  lazy val table: Tabular = dirtyTable.getOrElse(Tabular.collect(dirty, attrs))
+
   /** FDs available to FD-only algorithms (DC-encoded FDs included). */
   def fds: Seq[FD] = Rule.asFds(rules)
 }

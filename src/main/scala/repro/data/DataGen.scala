@@ -3,7 +3,7 @@ package repro.data
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType}
 import scala.util.Random
-import repro.core.{Cells, ErrorGen, Rule}
+import repro.core.{Cells, ErrorGen, Rule, Tabular}
 
 /** A generated benchmark dataset: clean + dirty DataFrames, rules and
   * metadata, mirroring one row of the paper's Table 5.
@@ -25,6 +25,12 @@ final case class GeneratedDataset(
     labeledTids: Seq[Long],
     /** Clean values of the labeled tuples, keyed by (tid, attr). */
     labeled: Map[(Long, String), String],
+    /** `dirty` on the driver. */
+    table: Tabular,
+    /** The error set E: `(tid, attr) -> clean value` wherever dirty and
+      * clean differ, so OEC = |E|.
+      */
+    errors: Map[Cells.Cell, String],
 ) {
   /** Drop cached DataFrames (benchmarks iterate over many variants). */
   def unpersist(): Unit = { clean.unpersist(); dirty.unpersist() }
@@ -88,8 +94,10 @@ trait DataGen {
       tid <- tids
       (a, j) <- attrs.zipWithIndex
     } yield (tid, a) -> clean(tid.toInt)(j)).toMap
+    val table = Tabular(Array.tabulate(n)(_.toLong), dirty, attrs)
     GeneratedDataset(name, attrs, numericAttrs, rules, toDf(clean), toDf(dirty),
-      nominalErrorRate, errorTypes, classTarget, tids, labeledMap)
+      nominalErrorRate, errorTypes, classTarget, tids, labeledMap,
+      table, table.diff(table.copy(rows = clean)))
   }
 
   // ----- shared vocabulary helpers -----

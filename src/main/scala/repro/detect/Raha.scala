@@ -1,7 +1,7 @@
 package repro.detect
 
 import org.apache.spark.sql.{DataFrame, functions => F}
-import repro.core.{Cells, DC, Rule, Violations}
+import repro.core.{Cells, DC, Rule, Tabular, Violations}
 
 /** Simplified Raha (Mahdavi et al., SIGMOD'19): configuration-free error
   * detection via a per-column detector ensemble calibrated on few labels.
@@ -22,7 +22,13 @@ import repro.core.{Cells, DC, Rule, Violations}
 object Raha {
   import Cells.Tid
 
-  private val MvTokens = Seq("", "N/A", "UNKNOWN", "999", "null", "NULL", "na", "NA", "?")
+  /** The shared missing-value tokens plus spellings Raha's MV detector
+    * also treats as missing.
+    */
+  private val MvTokens = Tabular.MvTokens ++ Seq("NULL", "na", "NA", "?")
+
+  /** FREQ flags values seen at most max(1, this share × tuples) times in their column. */
+  private val FreqThreshold = 0.005
 
   /** Character-class signature: digit runs -> 9, letter runs -> a,
     * whitespace runs -> _ ; punctuation survives. "12 Main St." -> "9 a a."
@@ -37,8 +43,12 @@ object Raha {
     * `(__tid, attr, detector)`.
     */
   def detectorFlags(df: DataFrame, attrs: Seq[String], rules: Seq[Rule],
-                    freqThreshold: Double = 0.005): DataFrame = {
-    val cells = Cells.melt(df, attrs).cache()
+                    freqThreshold: Double = FreqThreshold): DataFrame =
+    flagsOver(Cells.melt(df, attrs), df, rules, freqThreshold)
+
+  /** [[detectorFlags]] over `cells`, the melted `df`. */
+  private def flagsOver(cells: DataFrame, df: DataFrame, rules: Seq[Rule],
+                        freqThreshold: Double): DataFrame = {
     val n = df.count().toDouble
 
     val mv = cells.where(F.col("value").isin(MvTokens: _*))
@@ -76,11 +86,13 @@ object Raha {
 
   /** Run detection. `labeled` maps (tid, attr) -> clean value for the
     * labeled tuples; a labeled cell is an error iff dirty != clean there.
-    * Returns flagged cells `(__tid, attr)`.
+    * Returns flagged cells `(__tid, attr)`, materialized; the melted cells
+    * and detector flags cached on the way are released before it returns.
     */
   def detect(df: DataFrame, attrs: Seq[String], rules: Seq[Rule],
              labeled: Map[(Long, String), String]): DataFrame = {
-    val flags = detectorFlags(df, attrs, rules).cache()
+    val cells = Cells.melt(df, attrs).cache()
+    val flags = flagsOver(cells, df, rules, FreqThreshold).cache()
     val selected: Map[String, Seq[String]] =
       if (labeled.isEmpty) attrs.map(_ -> Seq("MV", "RULE")).toMap
       else selectDetectors(df, attrs, flags, labeled)
@@ -88,9 +100,13 @@ object Raha {
     val sel = df.sparkSession.createDataFrame(
       selected.toSeq.flatMap { case (a, ds) => ds.map(d => (a, d)) }
     ).toDF("attr", "detector")
-    flags.join(sel, Seq("attr", "detector"))
+    val flagged = flags.join(sel, Seq("attr", "detector"))
       .select(F.col(Tid), F.col("attr"))
       .distinct()
+      .localCheckpoint()
+    flags.unpersist()
+    cells.unpersist()
+    flagged
   }
 
   /** Per-column detector selection by F1 against the labeled cells. */

@@ -62,6 +62,16 @@ class RelativeSpec extends ReproSpec with AlgoFixtures {
     assert(toMap(res.repaired, attrs) === toMap(df, attrs))
   }
 
+  test("composite LHS keys do not collide across value boundaries") {
+    // ("ab", "c") and ("a", "bc") concatenate alike; they are two groups,
+    // so a+b->c is not violated and nothing may change
+    val attrs = Seq("a", "b", "c")
+    val df = mkDf(spark, attrs)(Seq("ab", "c", "x"), Seq("a", "bc", "y"))
+    val in = RepairInput(spark, "t", df, attrs, Seq(FD(Seq("a", "b"), "c")))
+    assert(in.table.groupBy(Seq("a", "b")).size === 2)
+    assert(toMap(Relative.repair(in, maxNodes = 500).repaired, attrs) === toMap(df, attrs))
+  }
+
   test("node budget trips on larger rule sets (the n/a of Tables 4 and 6)") {
     val gd = repro.data.HospitalGen.generate(spark, 120, repro.data.HospitalGen.defaultSpec(19), 19)
     try {

@@ -1,13 +1,17 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.Exchange
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 import repro.{ReproSpec, TestUtil}
 import repro.algos.Common
+import repro.data.GeneratedDataset
 
 /** Properties of the cell layer (write-back, scoring, guarding) on random
-  * small relations, each checked against a driver-side recount.
+  * small relations, each checked against a driver-side recount or against
+  * the Spark-side path it replaces.
   */
 object CellLayerSpec {
   type Cell = (Long, String)
@@ -50,6 +54,13 @@ class CellLayerSpec extends ReproSpec {
   private def collected(c: Case, df: DataFrame): Map[Cell, String] =
     for ((t, row) <- TestUtil.toMap(df, c.attrs); (a, v) <- c.attrs.zip(row)) yield (t, a) -> v
 
+  private def repairsDf(fixes: Seq[(Long, String, String)]): DataFrame =
+    spark.createDataFrame(fixes).toDF(Cells.Tid, "attr", "value")
+
+  /** The case's repairs applied by the Spark-side tid join. */
+  private def joinRepaired(c: Case, dirty: DataFrame): DataFrame =
+    Cells.applyRepairs(dirty, c.attrs, repairsDf(c.repairs))
+
   private def ratio(n: Long, d: Long): Double = if (d == 0) 0.0 else n.toDouble / d
   private def f1(p: Double, r: Double): Double = if (p + r == 0) 0.0 else 2 * p * r / (p + r)
 
@@ -75,7 +86,7 @@ class CellLayerSpec extends ReproSpec {
   test("applyRepairs matches a driver-side reference on random relations") {
     for (c <- cases) {
       val dirty = TestUtil.mkDf(spark, c.attrs)(c.dirty: _*)
-      val out = collected(c, Cells.applyRepairs(dirty, c.attrs, Common.repairsDf(dirty, c.repairs)))
+      val out = collected(c, joinRepaired(c, dirty))
       val proposals = c.repairs.groupBy(r => (r._1, r._2))
         .map { case (k, rs) => k -> rs.map(_._3).toSet }
       val dirtyCells = cellsOf(c.attrs, c.dirty)
@@ -89,7 +100,7 @@ class CellLayerSpec extends ReproSpec {
     for (c <- cases) {
       val dirty = TestUtil.mkDf(spark, c.attrs)(c.dirty: _*)
       val clean = TestUtil.mkDf(spark, c.attrs)(c.clean: _*)
-      val repaired = Cells.applyRepairs(dirty, c.attrs, Common.repairsDf(dirty, c.repairs)).cache()
+      val repaired = joinRepaired(c, dirty).cache()
       val (d, r, k) = (cellsOf(c.attrs, c.dirty), collected(c, repaired), cellsOf(c.attrs, c.clean))
       assert(Metrics.evaluate(dirty, repaired, clean, c.attrs) === recount(d, r, k, None), c)
       val det = Common.detectionsDf(dirty, c.detections)
@@ -99,10 +110,53 @@ class CellLayerSpec extends ReproSpec {
     }
   }
 
+  test("driver write-back equals the tid-join applyRepairs, first proposal winning") {
+    for (c <- cases) {
+      val dirty = TestUtil.mkDf(spark, c.attrs)(c.dirty: _*)
+      val firstWins = c.repairs.distinctBy(r => (r._1, r._2))
+      val reference = collected(c, Cells.applyRepairs(dirty, c.attrs, repairsDf(firstWins)))
+      val table = Tabular.collect(dirty, c.attrs)
+      assert(collected(c, Cells.writeBack(spark, table, c.repairs)) === reference, c)
+    }
+  }
+
+  test("harness scoring equals DataFrame evaluate, with and without detections") {
+    for (c <- cases; withDet <- Seq(false, true)) {
+      val dirty = TestUtil.mkDf(spark, c.attrs)(c.dirty: _*)
+      val clean = TestUtil.mkDf(spark, c.attrs)(c.clean: _*)
+      val repaired = joinRepaired(c, dirty).cache()
+      val det = if (withDet) Some(Common.detectionsDf(dirty, c.detections)) else None
+      val (d, k) = (cellsOf(c.attrs, c.dirty), cellsOf(c.attrs, c.clean))
+      val table = Tabular(c.dirty.indices.map(_.toLong).toArray, c.dirty.map(_.toArray).toArray, c.attrs)
+      val gd = GeneratedDataset("random", c.attrs, Set.empty, Nil, clean, dirty, 0.0, Nil,
+        c.attrs.last, Nil, Map.empty, table, d.collect { case (cell, v) if v != k(cell) => cell -> k(cell) })
+      val fixed = new RepairAlgorithm {
+        val name = "Fixed"; val category = "Test"
+        def repair(in: RepairInput) = RepairResult(repaired, det)
+      }
+      val o = Harness.runOne(fixed, gd, budgetMs = 60000,
+        precomputedDetections = Some(Common.detectionsDf(dirty, Nil)))
+      assert(o.status === "ok", c)
+      assert(o.eval === Some(Metrics.evaluate(dirty, repaired, clean, c.attrs, det)), c)
+      repaired.unpersist()
+    }
+  }
+
+  test("a published relation is materialized without a shuffle") {
+    val c = cases.maxBy(_.dirty.size)
+    val table = Tabular.collect(TestUtil.mkDf(spark, c.attrs)(c.dirty: _*), c.attrs)
+    val published = Cells.writeBack(spark, table, c.repairs)
+    val counted = published.groupBy().count()
+    assert(counted.collect().head.getLong(0) === c.dirty.size)
+    object Plans extends AdaptiveSparkPlanHelper
+    for (plan <- Seq(published.queryExecution.executedPlan, counted.queryExecution.executedPlan))
+      assert(Plans.collect(plan) { case e: Exchange => e }.isEmpty, plan)
+  }
+
   test("guard changes only flagged cells and never raises IEC") {
     for (c <- cases) {
       val dirty = TestUtil.mkDf(spark, c.attrs)(c.dirty: _*)
-      val repaired = Cells.applyRepairs(dirty, c.attrs, Common.repairsDf(dirty, c.repairs)).cache()
+      val repaired = joinRepaired(c, dirty).cache()
       val guarded = DetectionGuard.guard(dirty, c.attrs, RepairResult(repaired),
         Common.detectionsDf(dirty, c.detections))
       val (d, r, k) = (cellsOf(c.attrs, c.dirty), collected(c, repaired), cellsOf(c.attrs, c.clean))

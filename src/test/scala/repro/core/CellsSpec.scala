@@ -56,6 +56,15 @@ class CellsSpec extends ReproSpec {
     assert(TestUtil.cell(out, attrs, 0L, "b") === "FIX")
   }
 
+  test("driver write-back keeps the first proposal for a cell") {
+    val out = Cells.writeBack(spark, Tabular.collect(df, attrs),
+      Seq((1L, "b", "FIRST"), (0L, "a", "9"), (1L, "b", "SECOND")))
+    val m = TestUtil.toMap(out, attrs)
+    assert(m(1L) === Seq("2", "FIRST", "q"))
+    assert(m(0L) === Seq("9", "x", "p"))
+    assert(m(2L) === Seq("3", "z", "r"))
+  }
+
   test("changedCells reports old and new values") {
     val reps = TestUtil.mkDf(spark, Seq("attr", "value"))(Seq("c", "NEW"))
       .select(F.lit(2L).as(Cells.Tid), F.col("attr"), F.col("value"))

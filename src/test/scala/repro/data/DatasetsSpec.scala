@@ -34,6 +34,21 @@ class DatasetsSpec extends ReproSpec {
   test("Rayyan: Table 5 invariants at reduced scale")(checkGen(RayyanGen, 400))
   test("Tax: Table 5 invariants at reduced scale")(checkGen(TaxGen, 2000))
 
+  test("the stored table and error set match the generated relations") {
+    for (gen <- Datasets.all; seed <- Seq(11L, 12L)) {
+      val gd = gen.generate(spark, if (gen == TaxGen) 2000 else 400, gen.defaultSpec(seed), seed)
+      try {
+        val errors = Cells.changedCells(gd.dirty, gd.clean, gd.attrs).collect()
+          .map(r => (r.getLong(0), r.getString(1)) -> r.getString(3)).toMap
+        assert(gd.errors === errors, s"${gen.name} at seed $seed")
+        val table = Tabular.collect(gd.dirty, gd.attrs)
+        assert(gd.table.tids.toSeq === table.tids.toSeq)
+        assert(gd.table.rows.map(_.toSeq).toSeq === table.rows.map(_.toSeq).toSeq,
+          s"${gen.name} at seed $seed")
+      } finally gd.unpersist()
+    }
+  }
+
   test("Table 5 native sizes and arities") {
     assert(HospitalGen.defaultRows === 1000 && HospitalGen.attrs.size === 20)
     assert(FlightsGen.defaultRows === 2376 && FlightsGen.attrs.size === 7)
