@@ -37,7 +37,7 @@ object Baran extends RepairAlgorithm {
   override def repair(in: RepairInput): RepairResult = {
     val tab = in.table
     val detections =
-      Cells.cellSet(in.detections.getOrElse(Violations.violatingCells(in.dirty, in.rules)))
+      in.flagged.getOrElse(Cells.cellSet(Violations.violatingCells(in.dirty, in.rules)))
 
     // ---- labeled corrections: (attr, dirtyValue, cleanValue) ----
     val corrections: Seq[(String, String, String)] = in.labeled.toSeq.flatMap {
@@ -145,6 +145,6 @@ object Baran extends RepairAlgorithm {
       }
     }
 
-    RepairResult(Cells.writeBack(in.spark, tab, fixes.toSeq), in.detections)
+    RepairResult(in.spark, tab.patched(fixes.toSeq), in.flagged)
   }
 }

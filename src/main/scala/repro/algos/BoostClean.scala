@@ -137,9 +137,7 @@ object BoostClean extends RepairAlgorithm {
 
     val detections = sequence.flatMap(a =>
       flaggedByAttr(tab.attrIdx(a.attr)).map(i => (tab.tids(i), a.attr))).distinct
-    RepairResult(
-      Cells.publish(in.spark, tab.copy(rows = current)),
-      Some(Common.detectionsDf(in.dirty, detections.toSeq)))
+    RepairResult(in.spark, tab.copy(rows = current), Some(detections.toSet))
   }
 
   /** Deterministic stride sample of at most `k` indices. */

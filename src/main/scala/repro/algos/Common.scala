@@ -107,11 +107,4 @@ object Common {
   def pureDcs(rules: Seq[Rule]): Seq[DC] = rules.collect {
     case dc: DC if Rule.dcAsFd(dc).isEmpty => dc
   }
-
-  /** Detected-cell frame from driver-side pairs. */
-  def detectionsDf(df: DataFrame, cells: Seq[(Long, String)]): DataFrame = {
-    val spark = df.sparkSession
-    if (cells.isEmpty) Cells.noRepairs(df).select(F.col(Tid), F.col("attr"))
-    else spark.createDataFrame(cells).toDF(Tid, "attr")
-  }
 }

@@ -85,9 +85,7 @@ object Daisy extends RepairAlgorithm {
       }
     }
 
-    RepairResult(
-      Cells.writeBack(in.spark, tab, fixes.toSeq),
-      Some(Common.detectionsDf(in.dirty, detected.toSeq.distinct)))
+    RepairResult(in.spark, tab.patched(fixes.toSeq), Some(detected.toSet))
   }
 
   /** Similarity-weighted candidate mass: each value accumulates, from

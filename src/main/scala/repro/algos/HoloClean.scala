@@ -128,8 +128,6 @@ object HoloClean extends RepairAlgorithm {
       }
     }
 
-    RepairResult(
-      Cells.writeBack(in.spark, tab, fixes.toSeq),
-      Some(Common.detectionsDf(in.dirty, detected.toSeq)))
+    RepairResult(in.spark, tab.patched(fixes.toSeq), Some(detected.toSet))
   }
 }

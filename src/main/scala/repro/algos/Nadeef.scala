@@ -86,6 +86,6 @@ object Nadeef extends RepairAlgorithm {
       round += 1
     }
 
-    RepairResult(Cells.publish(in.spark, tab))
+    RepairResult(in.spark, tab, None)
   }
 }

@@ -25,7 +25,7 @@ object Relative extends RepairAlgorithm {
   def repair(in: RepairInput, maxNodes: Int): RepairResult = {
     val tab = in.table
     val fds = Rule.asFds(in.rules)
-    if (fds.isEmpty) return RepairResult(in.dirty, None)
+    if (fds.isEmpty) return RepairResult(in.spark, tab, None)
 
     var nodes = 0
     def visit(): Unit = {
@@ -86,6 +86,6 @@ object Relative extends RepairAlgorithm {
         }
       }
     }
-    RepairResult(Cells.writeBack(in.spark, tab, fixes.toSeq))
+    RepairResult(in.spark, tab.patched(fixes.toSeq), None)
   }
 }

@@ -33,7 +33,7 @@ object Scare extends RepairAlgorithm {
     val n = tab.tids.length
     // partial detection results: external when provided, else rule violations
     val flagged =
-      Cells.cellSet(in.detections.getOrElse(Violations.violatingCells(in.dirty, in.rules)))
+      in.flagged.getOrElse(Cells.cellSet(Violations.violatingCells(in.dirty, in.rules)))
     val dirtyTids: Set[Long] = flagged.map(_._1)
 
     val nBlocks = math.max(1, n / BlockSize)
@@ -75,8 +75,6 @@ object Scare extends RepairAlgorithm {
       .sortBy { case (tid, attr, _, m) => (-m, tid, attr) }
       .take(maxChanges)
       .map { case (tid, attr, v, _) => (tid, attr, v) }
-    RepairResult(
-      Cells.writeBack(in.spark, tab, bounded),
-      Some(Common.detectionsDf(in.dirty, detected.toSeq.distinct)))
+    RepairResult(in.spark, tab.patched(bounded), Some(detected.toSet))
   }
 }

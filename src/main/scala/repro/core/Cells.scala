@@ -27,15 +27,6 @@ object Cells {
     df.selectExpr(Tid, s"stack(${attrs.size}, $stackArgs) as (attr, value)")
   }
 
-  /** Driver write-back: `table` with `fixes` `(tid, attr, value)` applied
-    * and published (see [[publish]]). When two fixes name one cell, the
-    * first in the order of `fixes` (the algorithm's own proposal order)
-    * wins and the later ones are dropped.
-    */
-  def writeBack(spark: SparkSession, table: Tabular,
-                fixes: Seq[(Long, String, String)]): DataFrame =
-    publish(spark, table.patched(fixes))
-
   /** `table` as a relation: a local relation read as one partition, so
     * publishing it runs no Spark job and materializing it (a count, a
     * cache) needs no shuffle.

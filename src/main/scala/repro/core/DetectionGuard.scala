@@ -19,17 +19,16 @@ object DetectionGuard {
     */
   def guard(dirty: DataFrame, attrs: Seq[String], result: RepairResult,
             detections: DataFrame): RepairResult =
-    guard(Tabular.collect(dirty, attrs), result, detections)
+    guard(Tabular.collect(dirty, attrs), result, Cells.cellSet(detections))
 
-  /** [[guard]] over the driver-side dirty table: the delta of `result`
-    * intersected with the flagged cells, written back onto `table`.
+  /** [[guard]] on the driver: the delta of `result` against the dirty
+    * `table`, filtered on the `flagged` cells and written back onto `table`.
     */
-  def guard(table: Tabular, result: RepairResult, detections: DataFrame): RepairResult = {
-    val flagged = Cells.cellSet(detections)
-    val kept = table.diff(Tabular.collect(result.repaired, table.attrs)).toSeq.collect {
+  def guard(table: Tabular, result: RepairResult, flagged: Set[Cells.Cell]): RepairResult = {
+    val kept = table.diff(result.table).toSeq.collect {
       case (cell @ (tid, a), v) if flagged(cell) => (tid, a, v)
     }
-    RepairResult(Cells.writeBack(detections.sparkSession, table, kept), Some(detections))
+    RepairResult(result.spark, table.patched(kept), Some(flagged))
   }
 
   /** Wrap `algo` so every run is detection-guarded. */
@@ -37,9 +36,9 @@ object DetectionGuard {
     override def name: String     = algo.name + "+ED"
     override def category: String = algo.category
     override def repair(in: RepairInput): RepairResult = {
-      val det = in.detections.getOrElse(
+      val flagged = in.flagged.getOrElse(
         throw new IllegalArgumentException(s"$name requires external detections"))
-      guard(in.table, algo.repair(in), det)
+      guard(in.table, algo.repair(in), flagged)
     }
   }
 }

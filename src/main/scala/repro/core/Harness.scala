@@ -52,7 +52,7 @@ object Harness {
     val in = inputFor(gd, budget, precomputedDetections)
     val groupId = s"${algo.name}-${gd.name}-${System.nanoTime()}"
 
-    @volatile var result: Option[Either[Throwable, (RepairResult, Tabular, Double)]] = None
+    @volatile var result: Option[Either[Throwable, (RepairResult, Double)]] = None
     val start = System.nanoTime()
     def elapsed: Double = (System.nanoTime() - start) / 1e9
     val t = new Thread(() => {
@@ -60,9 +60,7 @@ object Harness {
         spark.sparkContext.setJobGroup(groupId, s"${algo.name} on ${gd.name}",
           interruptOnCancel = true)
         val res = algo.repair(in)
-        // materialize: repair ends here, with the relation on the driver
-        val repaired = Tabular.collect(res.repaired, gd.attrs)
-        result = Some(Right((res, repaired, elapsed)))
+        result = Some(Right((res, elapsed)))
       } catch {
         case e: Throwable => result = Some(Left(e))
       } finally spark.sparkContext.clearJobGroup()
@@ -85,8 +83,8 @@ object Harness {
       case Some(Left(e)) =>
         Console.err.println(s"[Harness] ${algo.name} on ${gd.name} failed: $e")
         RunOutcome(algo.name, algo.category, gd.name, "err", None, 0.0)
-      case Some(Right((res, repaired, secs))) =>
-        val ev = Metrics.score(gd.errors, gd.table.diff(repaired), res.detections.map(Cells.cellSet))
+      case Some(Right((res, secs))) =>
+        val ev = Metrics.score(gd.errors, gd.table.diff(res.table), res.flagged)
         RunOutcome(algo.name, algo.category, gd.name, "ok", Some(ev), secs)
     }
   }
@@ -141,8 +139,8 @@ object Harness {
     val gds = Datasets.generateRealWorld(spark, seed) :+
       Datasets.taxSubset(spark, taxRows, seed)
     gds.map { gd =>
-      val st = DatasetStats(gd.name, gd.dirty.count(), gd.attrs.size,
-        Metrics.errorRate(gd.dirty, gd.clean, gd.attrs), gd.errorTypes)
+      val st = DatasetStats(gd.name, gd.table.tids.length.toLong, gd.attrs.size,
+        gd.errorRate, gd.errorTypes)
       gd.unpersist()
       st
     }

@@ -71,10 +71,4 @@ object Metrics {
     score(d.diff(Tabular.collect(clean, attrs)), d.diff(Tabular.collect(repaired, attrs)),
       detections.map(Cells.cellSet))
   }
-
-  /** Measured error rate of `dirty` against `clean` (Table 5). */
-  def errorRate(dirty: DataFrame, clean: DataFrame, attrs: Seq[String]): Double = {
-    val d = Tabular.collect(dirty, attrs)
-    ratio(d.diff(Tabular.collect(clean, attrs)).size, d.tids.length.toLong * attrs.size)
-  }
 }

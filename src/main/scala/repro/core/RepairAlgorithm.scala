@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import Cells.Cell
 
 /** Everything a repair algorithm may consume (Table 3's "Input" column).
   *
@@ -30,15 +31,34 @@ final case class RepairInput(
   /** The dirty relation on the driver. */
   lazy val table: Tabular = dirtyTable.getOrElse(Tabular.collect(dirty, attrs))
 
+  /** The cells of `detections` on the driver, collected once, on first use. */
+  lazy val flagged: Option[Set[Cell]] = detections.map(Cells.cellSet)
+
   /** FDs available to FD-only algorithms (DC-encoded FDs included). */
   def fds: Seq[FD] = Rule.asFds(rules)
 }
 
-/** Output of a repair run: the repaired relation plus, when the algorithm
-  * has an explicit detection stage, the cells it flagged (`(__tid, attr)`).
-  * When `detections` is None the harness scores detection on changed cells.
+/** Output of a repair run, on the driver: the repaired relation plus,
+  * when the algorithm has an explicit detection stage, the cells it
+  * flagged. When `flagged` is None the harness scores detection on
+  * changed cells. `repaired` and `detections` are the same result as
+  * relations, built when first read.
   */
-final case class RepairResult(repaired: DataFrame, detections: Option[DataFrame] = None)
+final case class RepairResult(spark: SparkSession, table: Tabular, flagged: Option[Set[Cell]]) {
+  lazy val repaired: DataFrame = Cells.publish(spark, table)
+  lazy val detections: Option[DataFrame] =
+    flagged.map(cells => spark.createDataFrame(cells.toSeq).toDF(Cells.Tid, "attr"))
+}
+
+object RepairResult {
+  /** A result given as relations, collected to the driver here, so a
+    * Spark-side algorithm pays for the collect inside its own run.
+    */
+  def apply(repaired: DataFrame, detections: Option[DataFrame] = None): RepairResult =
+    RepairResult(repaired.sparkSession,
+      Tabular.collect(repaired, repaired.columns.toSeq.filterNot(_ == Cells.Tid)),
+      detections.map(Cells.cellSet))
+}
 
 /** A data repair algorithm from the paper's taxonomy (Section 3). */
 trait RepairAlgorithm {

@@ -12,7 +12,7 @@ object Violations {
   import Cells.Tid
 
   /** Separator for composite LHS group keys. */
-  val Sep = ""
+  val Sep = "\u0001"
 
   /** Composite group-key column for an FD LHS. */
   def groupKey(lhs: Seq[String]): Column =

@@ -32,6 +32,12 @@ final case class GeneratedDataset(
       */
     errors: Map[Cells.Cell, String],
 ) {
+  /** Measured error rate |E| / (tuples × attrs) (Table 5). */
+  def errorRate: Double = {
+    val cells = table.tids.length.toLong * attrs.size
+    if (cells == 0) 0.0 else errors.size.toDouble / cells
+  }
+
   /** Drop cached DataFrames (benchmarks iterate over many variants). */
   def unpersist(): Unit = { clean.unpersist(); dirty.unpersist() }
 }

@@ -80,6 +80,26 @@ class IntegrationSpec extends ReproSpec {
     } finally gd.unpersist()
   }
 
+  test("every result scores alike from its driver fields and from its relations") {
+    val gd = BeersGen.generate(spark, 120, BeersGen.defaultSpec(53), 53)
+    try {
+      val det = Raha.detect(gd.dirty, gd.attrs, gd.rules, gd.labeled).cache()
+      for (algo <- Algorithms.all; run <- Seq(algo, DetectionGuard.guarded(algo))) {
+        val in = RepairInput(spark, gd.name, gd.dirty, gd.attrs, gd.rules,
+          gd.numericAttrs, Some(det), gd.labeled, Some(gd.classTarget),
+          budget = Budget.timeLimit(120000))
+        try {
+          val res = run.repair(in)
+          assert(Metrics.score(gd.errors, gd.table.diff(res.table), res.flagged) ===
+            Metrics.evaluate(gd.dirty, res.repaired, gd.clean, gd.attrs, res.detections), run.name)
+        } catch {
+          case _: BudgetExceeded => assert(algo eq Relative, s"${run.name} tripped a budget")
+        }
+      }
+      det.unpersist()
+    } finally gd.unpersist()
+  }
+
   test("registry covers the paper's twelve algorithms with categories") {
     assert(Algorithms.all.size === 12)
     val cats = Algorithms.all.groupBy(_.category).view.mapValues(_.size).toMap

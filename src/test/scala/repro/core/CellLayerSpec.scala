@@ -6,7 +6,6 @@ import org.apache.spark.sql.execution.exchange.Exchange
 import org.scalacheck.Gen
 import org.scalacheck.rng.Seed
 import repro.{ReproSpec, TestUtil}
-import repro.algos.Common
 import repro.data.GeneratedDataset
 
 /** Properties of the cell layer (write-back, scoring, guarding) on random
@@ -57,6 +56,9 @@ class CellLayerSpec extends ReproSpec {
   private def repairsDf(fixes: Seq[(Long, String, String)]): DataFrame =
     spark.createDataFrame(fixes).toDF(Cells.Tid, "attr", "value")
 
+  private def detectionsDf(cells: Seq[Cell]): DataFrame =
+    spark.createDataFrame(cells).toDF(Cells.Tid, "attr")
+
   /** The case's repairs applied by the Spark-side tid join. */
   private def joinRepaired(c: Case, dirty: DataFrame): DataFrame =
     Cells.applyRepairs(dirty, c.attrs, repairsDf(c.repairs))
@@ -103,7 +105,7 @@ class CellLayerSpec extends ReproSpec {
       val repaired = joinRepaired(c, dirty).cache()
       val (d, r, k) = (cellsOf(c.attrs, c.dirty), collected(c, repaired), cellsOf(c.attrs, c.clean))
       assert(Metrics.evaluate(dirty, repaired, clean, c.attrs) === recount(d, r, k, None), c)
-      val det = Common.detectionsDf(dirty, c.detections)
+      val det = detectionsDf(c.detections)
       assert(Metrics.evaluate(dirty, repaired, clean, c.attrs, Some(det)) ===
         recount(d, r, k, Some(c.detections.toSet)), c)
       repaired.unpersist()
@@ -116,7 +118,7 @@ class CellLayerSpec extends ReproSpec {
       val firstWins = c.repairs.distinctBy(r => (r._1, r._2))
       val reference = collected(c, Cells.applyRepairs(dirty, c.attrs, repairsDf(firstWins)))
       val table = Tabular.collect(dirty, c.attrs)
-      assert(collected(c, Cells.writeBack(spark, table, c.repairs)) === reference, c)
+      assert(collected(c, Cells.publish(spark, table.patched(c.repairs))) === reference, c)
     }
   }
 
@@ -125,7 +127,7 @@ class CellLayerSpec extends ReproSpec {
       val dirty = TestUtil.mkDf(spark, c.attrs)(c.dirty: _*)
       val clean = TestUtil.mkDf(spark, c.attrs)(c.clean: _*)
       val repaired = joinRepaired(c, dirty).cache()
-      val det = if (withDet) Some(Common.detectionsDf(dirty, c.detections)) else None
+      val det = if (withDet) Some(detectionsDf(c.detections)) else None
       val (d, k) = (cellsOf(c.attrs, c.dirty), cellsOf(c.attrs, c.clean))
       val table = Tabular(c.dirty.indices.map(_.toLong).toArray, c.dirty.map(_.toArray).toArray, c.attrs)
       val gd = GeneratedDataset("random", c.attrs, Set.empty, Nil, clean, dirty, 0.0, Nil,
@@ -135,7 +137,7 @@ class CellLayerSpec extends ReproSpec {
         def repair(in: RepairInput) = RepairResult(repaired, det)
       }
       val o = Harness.runOne(fixed, gd, budgetMs = 60000,
-        precomputedDetections = Some(Common.detectionsDf(dirty, Nil)))
+        precomputedDetections = Some(detectionsDf(Nil)))
       assert(o.status === "ok", c)
       assert(o.eval === Some(Metrics.evaluate(dirty, repaired, clean, c.attrs, det)), c)
       repaired.unpersist()
@@ -145,7 +147,7 @@ class CellLayerSpec extends ReproSpec {
   test("a published relation is materialized without a shuffle") {
     val c = cases.maxBy(_.dirty.size)
     val table = Tabular.collect(TestUtil.mkDf(spark, c.attrs)(c.dirty: _*), c.attrs)
-    val published = Cells.writeBack(spark, table, c.repairs)
+    val published = Cells.publish(spark, table.patched(c.repairs))
     val counted = published.groupBy().count()
     assert(counted.collect().head.getLong(0) === c.dirty.size)
     object Plans extends AdaptiveSparkPlanHelper
@@ -158,7 +160,7 @@ class CellLayerSpec extends ReproSpec {
       val dirty = TestUtil.mkDf(spark, c.attrs)(c.dirty: _*)
       val repaired = joinRepaired(c, dirty).cache()
       val guarded = DetectionGuard.guard(dirty, c.attrs, RepairResult(repaired),
-        Common.detectionsDf(dirty, c.detections))
+        detectionsDf(c.detections))
       val (d, r, k) = (cellsOf(c.attrs, c.dirty), collected(c, repaired), cellsOf(c.attrs, c.clean))
       val g = collected(c, guarded.repaired)
       val flagged = c.detections.toSet

@@ -57,8 +57,8 @@ class CellsSpec extends ReproSpec {
   }
 
   test("driver write-back keeps the first proposal for a cell") {
-    val out = Cells.writeBack(spark, Tabular.collect(df, attrs),
-      Seq((1L, "b", "FIRST"), (0L, "a", "9"), (1L, "b", "SECOND")))
+    val out = Cells.publish(spark, Tabular.collect(df, attrs).patched(
+      Seq((1L, "b", "FIRST"), (0L, "a", "9"), (1L, "b", "SECOND"))))
     val m = TestUtil.toMap(out, attrs)
     assert(m(1L) === Seq("2", "FIRST", "q"))
     assert(m(0L) === Seq("9", "x", "p"))

@@ -1,8 +1,9 @@
 package repro.core
 
-import repro.ReproSpec
-import repro.algos.{MLNClean, Relative}
+import repro.{ReproSpec, SparkJobs}
+import repro.algos.{MLNClean, Nadeef, Relative}
 import repro.data.HospitalGen
+import repro.detect.Raha
 
 class HarnessSpec extends ReproSpec {
 
@@ -27,6 +28,23 @@ class HarnessSpec extends ReproSpec {
       assert(o.eval.isEmpty)
       // a counted-budget trip reports the time it took, not the wall-clock budget
       assert(o.repairSeconds > 0 && o.repairSeconds < 30, s"${o.repairSeconds}s")
+    } finally gd.unpersist()
+  }
+
+  test("runOne keeps a driver-side result on the driver: no Spark job, one when guarded") {
+    val gd = miniHospital
+    try {
+      val det = Raha.detect(gd.dirty, gd.attrs, gd.rules, gd.labeled)
+      def run(algo: RepairAlgorithm) = SparkJobs.count(spark)(
+        Harness.runOne(algo, gd, budgetMs = 120000, precomputedDetections = Some(det)))
+      val (plain, plainJobs) = run(Nadeef)
+      assert(plain.status === "ok")
+      assert(plainJobs === 0)
+      // the guard collects the flagged cells once
+      val (guarded, guardedJobs) = run(DetectionGuard.guarded(Nadeef))
+      assert(guarded.status === "ok")
+      assert(guardedJobs <= 1)
+      det.unpersist()
     } finally gd.unpersist()
   }
 

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{functions => F}
 import repro.{ReproSpec, TestUtil}
+import repro.data.GeneratedDataset
 
 class MetricsSpec extends ReproSpec {
   private val attrs = Seq("a", "b")
@@ -86,8 +87,18 @@ class MetricsSpec extends ReproSpec {
     assert(ev.edr === 0.0)
   }
 
+  /** A hand-built dataset observed as `observed`, its E built as the
+    * generators build it.
+    */
+  private def dataset(observed: Seq[Seq[String]]): GeneratedDataset = {
+    val table = Tabular(Array(0L, 1L, 2L), observed.map(_.toArray).toArray, attrs)
+    val truth = table.copy(rows = Array(Array("1", "x"), Array("2", "y"), Array("3", "z")))
+    GeneratedDataset("t", attrs, Set.empty, Nil, clean, TestUtil.mkDf(spark, attrs)(observed: _*),
+      0.0, Nil, "b", Nil, Map.empty, table, table.diff(truth))
+  }
+
   test("errorRate measures cell-level disparity") {
-    assert(Metrics.errorRate(dirty, clean, attrs) === 2.0 / 6.0)
-    assert(Metrics.errorRate(clean, clean, attrs) === 0.0)
+    assert(dataset(Seq(Seq("1", "x"), Seq("2", "BAD"), Seq("3", "BAD2"))).errorRate === 2.0 / 6.0)
+    assert(dataset(Seq(Seq("1", "x"), Seq("2", "y"), Seq("3", "z"))).errorRate === 0.0)
   }
 }

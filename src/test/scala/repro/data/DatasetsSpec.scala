@@ -20,7 +20,7 @@ class DatasetsSpec extends ReproSpec {
       assert(gd.attrs.size === gen.attrs.size)
       assert(violationsOnClean(gd) === 0,
         s"${gen.name}: clean data violates its own rules")
-      val rate = Metrics.errorRate(gd.dirty, gd.clean, gd.attrs)
+      val rate = gd.errorRate
       assert(rate > gen.nominalErrorRate * 0.6 && rate < gen.nominalErrorRate * 1.4,
         s"${gen.name}: realized rate $rate vs nominal ${gen.nominalErrorRate}")
       assert(gd.labeledTids.size === math.min(20, rows))
@@ -157,7 +157,7 @@ class DatasetsSpec extends ReproSpec {
   test("mixed-error variant hits requested rate") {
     val gd = Datasets.withMixedErrors(spark, RayyanGen, 0.3, 21)
     try {
-      val r = Metrics.errorRate(gd.dirty, gd.clean, gd.attrs)
+      val r = gd.errorRate
       assert(r > 0.22 && r < 0.38, s"rate $r")
     } finally gd.unpersist()
   }
