@@ -24,6 +24,10 @@ class Table4Bench extends ReproSpec {
     println("==== Table 4 (measured) ====")
     println(rendered)
 
+    // a crashed run is a defect of the reproduction, not a table cell
+    val errs = outcomes.filter(_.status == "err").map(o => s"${o.algo} on ${o.dataset}")
+    assert(errs.isEmpty, s"runs ended in err: ${errs.mkString(", ")}")
+
     // structural assertions on the paper's qualitative findings
     def edr(algo: String, ds: String): Option[Double] =
       outcomes.find(o => o.algo == algo && o.dataset == ds)

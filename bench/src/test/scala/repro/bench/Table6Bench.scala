@@ -29,6 +29,10 @@ class Table6Bench extends ReproSpec {
     println("==== Table 6 (measured) ====")
     println(Harness.renderTable6(outcomes))
 
+    // a crashed run is a defect of the reproduction, not a table cell
+    val errs = outcomes.filter(_.status == "err").map(o => s"${o.algo} on ${o.dataset}")
+    assert(errs.isEmpty, s"runs ended in err: ${errs.mkString(", ")}")
+
     // Relative never completes at benchmark scale
     assert(outcomes.filter(_.algo == "Relative").forall(o =>
       o.status == "n/a" || o.status == "n/a*"))

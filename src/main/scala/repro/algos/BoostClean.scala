@@ -64,10 +64,13 @@ object BoostClean extends RepairAlgorithm {
         if (isNumericCol(j)) base ++ Seq(ImputeMean(a), ImputeMedian(a)) else base
       }
 
+    // both inputs of an imputation are fixed for the run, so each action's
+    // value is computed once, not once per candidate evaluation
+    val flaggedSets: Array[collection.BitSet] = flaggedByAttr.map(collection.immutable.BitSet(_: _*))
     def imputeValue(act: Action): String = {
       val j = tab.attrIdx(act.attr)
       val goodVals = tab.rows.indices
-        .filterNot(flaggedByAttr(j).toSet)
+        .filterNot(flaggedSets(j))
         .map(i => tab.rows(i)(j))
       act match {
         case ImputeMode(_) =>
@@ -83,9 +86,11 @@ object BoostClean extends RepairAlgorithm {
       }
     }
 
+    val imputed: Map[Action, String] = actions.map(a => a -> imputeValue(a)).toMap
+
     def applyAction(rows: Array[Array[String]], act: Action): Array[Array[String]] = {
       val j = tab.attrIdx(act.attr)
-      val v = imputeValue(act)
+      val v = imputed(act)
       val out = rows.clone()
       for (i <- flaggedByAttr(j)) {
         val r = out(i).clone(); r(j) = v; out(i) = r

@@ -38,6 +38,12 @@ object Cells {
     spark.createDataFrame(rows.asJava, schema).coalesce(1)
   }
 
+  /** `cells` as a local `(__tid, attr)` relation sorted by (tid, attr):
+    * building it runs no Spark job, and neither does collecting it.
+    */
+  def cellFrame(spark: SparkSession, cells: Set[Cell]): DataFrame =
+    spark.createDataFrame(cells.toSeq.sorted).toDF(Tid, "attr")
+
   /** The `(__tid, attr)` cells of a detection or repair frame. */
   def cellSet(df: DataFrame): Set[Cell] =
     df.select(F.col(Tid), F.col("attr")).collect().map(r => (r.getLong(0), r.getString(1))).toSet

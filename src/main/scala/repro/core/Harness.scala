@@ -38,10 +38,16 @@ object Harness {
   def inputFor(gd: GeneratedDataset, budget: Budget = Budget.unlimited,
                precomputedDetections: Option[DataFrame] = None): RepairInput = {
     val spark = gd.dirty.sparkSession
-    val det = precomputedDetections.getOrElse(Raha.detect(gd.dirty, gd.attrs, gd.rules, gd.labeled))
+    val det = precomputedDetections.getOrElse(detections(gd))
     RepairInput(spark, gd.name, gd.dirty, gd.attrs, gd.rules, gd.numericAttrs,
       Some(det), gd.labeled, Some(gd.classTarget), budget, Some(gd.table))
   }
+
+  /** Raha's detections on the generator's driver table, as a local
+    * relation: no Spark job builds it or collects it.
+    */
+  private def detections(gd: GeneratedDataset): DataFrame =
+    Cells.cellFrame(gd.dirty.sparkSession, Raha.flag(gd.table, gd.rules, gd.labeled))
 
   /** Run one algorithm on one dataset under a wall-clock budget. */
   def runOne(algo: RepairAlgorithm, gd: GeneratedDataset, budgetMs: Long,
@@ -96,12 +102,12 @@ object Harness {
              seed: Long = 7): Seq[RunOutcome] = {
     val datasets = Datasets.generateRealWorld(spark, seed)
     val out = for (gd <- datasets) yield {
-      val det = Raha.detect(gd.dirty, gd.attrs, gd.rules, gd.labeled)
+      val det = detections(gd)
       val rows = algos.map { a =>
         Console.err.println(s"[Table4] ${a.name} on ${gd.name} ...")
         runOne(a, gd, budgetMs, precomputedDetections = Some(det))
       }
-      det.unpersist(); gd.unpersist()
+      gd.unpersist()
       rows
     }
     out.flatten
@@ -165,7 +171,7 @@ object Harness {
     val dead = scala.collection.mutable.Map.empty[String, String]
     val rows = for (n <- sizes) yield {
       val gd = Datasets.taxSubset(spark, n, seed)
-      val det = Raha.detect(gd.dirty, gd.attrs, gd.rules, gd.labeled)
+      val det = detections(gd)
       val out = algos.map { a =>
         dead.get(a.name) match {
           case Some(status) =>
@@ -179,7 +185,7 @@ object Harness {
             o
         }
       }
-      det.unpersist(); gd.unpersist()
+      gd.unpersist()
       out
     }
     rows.flatten

@@ -46,8 +46,7 @@ final case class RepairInput(
   */
 final case class RepairResult(spark: SparkSession, table: Tabular, flagged: Option[Set[Cell]]) {
   lazy val repaired: DataFrame = Cells.publish(spark, table)
-  lazy val detections: Option[DataFrame] =
-    flagged.map(cells => spark.createDataFrame(cells.toSeq).toDF(Cells.Tid, "attr"))
+  lazy val detections: Option[DataFrame] = flagged.map(Cells.cellFrame(spark, _))
 }
 
 object RepairResult {

@@ -47,27 +47,6 @@ object Violations {
     ).select(F.col(Tid), F.col("attr"), F.lit(fd.id).as("rule"))
   }
 
-  /** Likely-culprit cells of FD violations: RHS cells whose value differs
-    * from their group's majority (ties resolved lexicographically). Much
-    * higher precision than flagging whole violating groups — used by the
-    * Raha detector ensemble.
-    */
-  def fdMinorityCells(df: DataFrame, fd: FD): DataFrame = {
-    import org.apache.spark.sql.expressions.Window
-    val pats = fdPatternCounts(df, fd)
-    val w    = Window.partitionBy("lhsKey").orderBy(F.col("cnt").desc, F.col("rhsVal").asc)
-    val tot  = Window.partitionBy("lhsKey")
-    val winners = pats
-      .withColumn("rk", F.row_number().over(w))
-      .withColumn("nDistinct", F.count(F.lit(1)).over(tot))
-      .where(F.col("rk") === 1 && F.col("nDistinct") > 1)
-      .select(F.col("lhsKey"), F.col("rhsVal").as("winner"))
-    df.select(F.col(Tid), groupKey(fd.lhs).as("lhsKey"), F.col(fd.rhs).as("rhsVal"))
-      .join(winners, "lhsKey")
-      .where(F.col("rhsVal") =!= F.col("winner"))
-      .select(F.col(Tid), F.lit(fd.rhs).as("attr"))
-  }
-
   private def cmp(l: Column, op: String, r: Column): Column = op match {
     case "="  => l === r
     case "!=" => l =!= r

@@ -48,6 +48,15 @@ class HarnessSpec extends ReproSpec {
     } finally gd.unpersist()
   }
 
+  test("runOne detects on the driver: no Spark job without precomputed detections") {
+    val gd = miniHospital
+    try {
+      val (o, jobs) = SparkJobs.count(spark)(Harness.runOne(Nadeef, gd, budgetMs = 120000))
+      assert(o.status === "ok")
+      assert(jobs === 0)
+    } finally gd.unpersist()
+  }
+
   test("runOne maps SimulatedOOM to n/a*") {
     val gd = miniHospital
     try {

@@ -1,13 +1,11 @@
 package repro.detect
 
-import org.apache.spark.sql.{functions => F}
-import repro.{ReproSpec, TestUtil}
+import org.apache.spark.sql.DataFrame
+import repro.{ReproSpec, SparkJobs, TestUtil}
 import repro.core._
 import repro.data.HospitalGen
 
 class RahaSpec extends ReproSpec {
-  import Cells.Tid
-
   private val attrs = Seq("code", "city", "qty")
   private def base = TestUtil.mkDf(spark, attrs)(
     Seq("A-1", "Springfield", "10"),
@@ -20,24 +18,23 @@ class RahaSpec extends ReproSpec {
     Seq("A-8", "Rivertown", "17"),
   )
 
+  private def flags(df: DataFrame, rules: Seq[Rule]) =
+    RahaReferenceSpec.driverFlags(Tabular.collect(df, attrs), rules)
+
   test("detectorFlags finds explicit and implicit missing values") {
-    val flags = Raha.detectorFlags(base, attrs, Nil).collect()
-      .map(r => (r.getLong(0), r.getString(1), r.getString(2))).toSet
-    assert(flags.contains((5L, "code", "MV")))
-    assert(flags.contains((6L, "city", "MV")))
+    val f = flags(base, Nil)
+    assert(f.contains((5L, "code", "MV")))
+    assert(f.contains((6L, "city", "MV")))
   }
 
   test("detectorFlags finds format outliers against the dominant signature") {
-    val flags = Raha.detectorFlags(base, attrs, Nil).collect()
-      .map(r => (r.getLong(0), r.getString(1), r.getString(2))).toSet
-    assert(flags.contains((5L, "qty", "FORMAT"))) // "fifteen" vs digit signature
+    val f = flags(base, Nil)
+    assert(f.contains((5L, "qty", "FORMAT"))) // "fifteen" vs digit signature
   }
 
   test("detectorFlags includes rule violations") {
     val fd = FD(Seq("city"), "qty") // deliberately violated everywhere
-    val flags = Raha.detectorFlags(base, attrs, Seq(fd))
-      .where(F.col("detector") === "RULE")
-    assert(flags.count() > 0)
+    assert(flags(base, Seq(fd)).count(_._3 == "RULE") > 0)
   }
 
   test("unlabeled detection falls back to MV + RULE") {
@@ -83,5 +80,19 @@ class RahaSpec extends ReproSpec {
       .map(r => (r.getLong(0), r.getString(1))).toSet
     assert(!det.contains((0L, "qty")))
     assert(!det.contains((1L, "qty")))
+  }
+
+  test("driver detection runs no Spark job; detect over a relation runs one, its collect") {
+    val df = base.cache()
+    df.count()
+    val table = Tabular.collect(df, attrs)
+    val fd = FD(Seq("city"), "qty")
+    val (cells, flagJobs) = SparkJobs.count(spark)(Raha.flag(table, Seq(fd), Map.empty))
+    assert(flagJobs === 0)
+    val (det, detectJobs) = SparkJobs.count(spark)(
+      Raha.detect(df, attrs, Seq(fd), Map.empty).collect())
+    assert(detectJobs === 1)
+    assert(det.map(r => (r.getLong(0), r.getString(1))).toSet === cells)
+    df.unpersist()
   }
 }
