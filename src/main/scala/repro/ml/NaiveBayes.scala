@@ -1,5 +1,6 @@
 package repro.ml
 
+import scala.collection.Searching.Found
 import scala.collection.mutable
 
 /** Multinomial Naive Bayes over categorical string features.
@@ -8,44 +9,65 @@ import scala.collection.mutable
   * attributes) and for BoostClean's downstream classifier. Driver-side:
   * the benchmark datasets are small, and the paper itself notes all core
   * algorithms are main-memory (Section 7).
+  *
+  * Labels are indexes into their sorted list. Each feature is its own
+  * table: value -> log-likelihood of each label seen with it, plus the
+  * per-label default for any other (label, value). A table depends only on
+  * its column and the labels, so [[withFeature]] refits one feature and
+  * shares the rest.
   */
 final class NaiveBayes(alpha: Double = 1.0) {
+  import NaiveBayes.Feature
 
   private var labels: Array[String] = Array.empty
-  private var labelLogPrior: Map[String, Double] = Map.empty
-  // per feature index: (label, value) -> log P(value | label)
-  private var condLog: Array[Map[(String, String), Double]] = Array.empty
-  private var condDefault: Array[Map[String, Double]] = Array.empty
-  private var nFeatures: Int = 0
+  private var labelCounts: Array[Int] = Array.empty
+  private var labelLogPrior: Array[Double] = Array.empty
+  // label index of each training row, kept to refit a feature
+  private var y: Array[Int] = Array.empty
+  private var feats: Array[Feature] = Array.empty
 
   /** Fit on rows of features plus a label per row. */
   def fit(features: Array[Array[String]], y: Array[String]): this.type = {
     require(features.length == y.length && features.nonEmpty, "empty or mismatched training data")
-    nFeatures = features(0).length
-    val labelCounts = mutable.Map.empty[String, Int].withDefaultValue(0)
-    y.foreach(l => labelCounts(l) += 1)
-    labels = labelCounts.keys.toArray.sorted
-    val n = y.length.toDouble
-    labelLogPrior = labels.map(l => l -> math.log(labelCounts(l) / n)).toMap
-
-    condLog = new Array(nFeatures)
-    condDefault = new Array(nFeatures)
-    for (j <- 0 until nFeatures) {
-      val counts = mutable.Map.empty[(String, String), Int].withDefaultValue(0)
-      val domain = mutable.Set.empty[String]
-      for (i <- features.indices) {
-        counts((y(i), features(i)(j))) += 1
-        domain += features(i)(j)
-      }
-      val v = domain.size.toDouble
-      condLog(j) = counts.iterator.map { case ((l, x), c) =>
-        (l, x) -> math.log((c + alpha) / (labelCounts(l) + alpha * (v + 1)))
-      }.toMap
-      condDefault(j) = labels.map { l =>
-        l -> math.log(alpha / (labelCounts(l) + alpha * (v + 1)))
-      }.toMap
-    }
+    labels = y.distinct.sorted
+    this.y = y.map(labels.zipWithIndex.toMap)
+    labelCounts = new Array[Int](labels.length)
+    this.y.foreach(l => labelCounts(l) += 1)
+    labelLogPrior = labelCounts.map(c => math.log(c / y.length.toDouble))
+    feats = Array.tabulate(features(0).length)(j => feature(features.map(_(j))))
     this
+  }
+
+  /** This model with feature `f` refit on `column`, the feature's new value
+    * in each training row; the other features' tables are shared.
+    */
+  def withFeature(f: Int, column: Array[String]): NaiveBayes = {
+    require(column.length == y.length, "column and training rows differ in length")
+    val m = new NaiveBayes(alpha)
+    m.labels = labels; m.labelCounts = labelCounts; m.labelLogPrior = labelLogPrior; m.y = y
+    m.feats = feats.updated(f, feature(column))
+    m
+  }
+
+  /** One feature's table, from its value in each training row. */
+  private def feature(column: Array[String]): Feature = {
+    val counts = mutable.HashMap.empty[String, mutable.Map[Int, Int]]
+    for (i <- column.indices) counts.getOrElseUpdate(column(i), mutable.Map.empty[Int, Int].withDefaultValue(0))(y(i)) += 1
+    val v = counts.size.toDouble
+    Feature(counts.map { case (x, cs) =>
+      x -> cs.iterator.map { case (l, c) => (l, math.log((c + alpha) / (labelCounts(l) + alpha * (v + 1)))) }.toArray
+    }, Array.tabulate(labels.length)(l => math.log(alpha / (labelCounts(l) + alpha * (v + 1)))))
+  }
+
+  /** Log-posterior of every label: the prior, then the features in column order. */
+  private def scores(row: Array[String]): Array[Double] = {
+    val s = labelLogPrior.clone()
+    for (j <- feats.indices) {
+      val t = feats(j).default.clone()
+      for (seen <- feats(j).logLik.get(row(j)); (l, ll) <- seen) t(l) = ll
+      for (l <- s.indices) s(l) += t(l)
+    }
+    s
   }
 
   /** Most probable label for one feature row. */
@@ -54,31 +76,17 @@ final class NaiveBayes(alpha: Double = 1.0) {
   /** (label, log-posterior up to a constant). */
   def predictWithScore(row: Array[String]): (String, Double) = {
     require(labels.nonEmpty, "predict before fit")
-    var bestL = labels(0); var bestS = Double.NegativeInfinity
-    for (l <- labels) {
-      var s = labelLogPrior(l)
-      var j = 0
-      while (j < nFeatures) {
-        s += condLog(j).getOrElse((l, row(j)), condDefault(j)(l))
-        j += 1
-      }
-      if (s > bestS) { bestS = s; bestL = l }
-    }
-    (bestL, bestS)
+    val s = scores(row)
+    var bestL = 0; var bestS = Double.NegativeInfinity
+    for (l <- s.indices) if (s(l) > bestS) { bestS = s(l); bestL = l }
+    (labels(bestL), bestS)
   }
 
   /** Log-posterior (up to a constant) of a specific label. */
-  def scoreOf(row: Array[String], label: String): Double =
-    if (!labels.contains(label)) Double.NegativeInfinity
-    else {
-      var s = labelLogPrior(label)
-      var j = 0
-      while (j < nFeatures) {
-        s += condLog(j).getOrElse((label, row(j)), condDefault(j)(label))
-        j += 1
-      }
-      s
-    }
+  def scoreOf(row: Array[String], label: String): Double = labels.search(label) match {
+    case Found(l) => scores(row)(l)
+    case _        => Double.NegativeInfinity
+  }
 
   /** Accuracy on a held-out set. */
   def accuracy(features: Array[Array[String]], y: Array[String]): Double =
@@ -87,4 +95,11 @@ final class NaiveBayes(alpha: Double = 1.0) {
 
   /** Known labels after fit. */
   def classes: Seq[String] = labels.toSeq
+}
+
+object NaiveBayes {
+  /** Log-likelihoods of the (label, value) pairs seen in training, by value,
+    * and the per-label default of any other pair.
+    */
+  private final case class Feature(logLik: collection.Map[String, Array[(Int, Double)]], default: Array[Double])
 }
