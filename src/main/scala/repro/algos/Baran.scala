@@ -37,7 +37,7 @@ object Baran extends RepairAlgorithm {
   override def repair(in: RepairInput): RepairResult = {
     val tab = in.table
     val detections =
-      in.flagged.getOrElse(Cells.cellSet(Violations.violatingCells(in.dirty, in.rules)))
+      in.flagged.getOrElse(new RuleIndex(tab, in.rules).violatingCells)
 
     // ---- labeled corrections: (attr, dirtyValue, cleanValue) ----
     val corrections: Seq[(String, String, String)] = in.labeled.toSeq.flatMap {
@@ -53,9 +53,7 @@ object Baran extends RepairAlgorithm {
     }
 
     // vicinity model support: per attribute, inverted index value -> rows
-    val index: Map[Int, Map[String, Seq[Int]]] = in.attrs.indices.map { j =>
-      j -> tab.rows.indices.groupBy(i => tab.rows(i)(j)).view.mapValues(_.toSeq).toMap
-    }.toMap
+    val index = tab.valueRows()
     // domain model support: per attribute, value frequency over un-flagged cells
     val domainFreq: Map[Int, Map[String, Int]] = in.attrs.indices.map { j =>
       val attr = in.attrs(j)

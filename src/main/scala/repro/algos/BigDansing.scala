@@ -1,39 +1,26 @@
 package repro.algos
 
-import org.apache.spark.sql.{DataFrame, functions => F}
 import repro.core._
 
 /** BigDansing (Khayyat et al., SIGMOD'15) — rule-driven.
   *
   * Expresses detection and repair through the five logical operators
   * Scope -> Block -> Iterate -> Detect -> GenFix, compiled to a dataflow
-  * plan. Our rendering maps each operator to a DataFrame stage; GenFix
-  * unifies each violating block on its dominant value, breaking count
-  * ties toward the lexicographically larger value (the opposite scan
-  * direction from Holistic — the two systems agree except on ties).
+  * plan. Our rendering maps the operators onto the [[RuleIndex]]: Scope
+  * and Block are an FD's attributes and LHS groups, Iterate+Detect the
+  * groups with more than one RHS value, and GenFix unifies each violating
+  * block on its dominant value, breaking count ties toward the
+  * lexicographically larger value (the opposite scan direction from
+  * Holistic — the two systems agree except on ties).
   */
 object BigDansing extends RepairAlgorithm {
   override val name = "Bigdansing"
   override val category = "Rule-Driven"
 
-  import Cells.Tid
-
   override def repair(in: RepairInput): RepairResult = {
-    val df = in.dirty
-    val fdFixes = in.fds.map(fd => genFix(df, fd))
-    val dcFixes = Common.pureDcs(in.rules).map(dc => Common.dcOrderRepairs(df, dc))
-    val all = (fdFixes ++ dcFixes).reduceOption(_ union _).getOrElse(Cells.noRepairs(df))
-    RepairResult(Cells.applyRepairs(df, in.attrs, all))
-  }
-
-  /** Scope: project the rule's attributes. Block: group by the LHS key.
-    * Iterate+Detect: enumerate blocks with >1 distinct RHS. GenFix: unify
-    * the block on its dominant value (ties toward the larger value).
-    */
-  private def genFix(df: DataFrame, fd: FD): DataFrame = {
-    // Scope
-    val scoped = df.select(F.col(Tid) +: fd.attrs.map(F.col): _*)
-    // Block + Iterate + Detect + GenFix
-    Common.fdMajorityRepairs(scoped, fd, tieLexicMin = false)
+    val idx = new RuleIndex(in.table, in.rules)
+    val fixes = idx.fds.flatMap(fd => idx.majorityFixes(fd, tieLexicMin = false)) ++
+      idx.dcs.flatMap(idx.dcOrderFixes)
+    RepairResult(in.spark, in.table.patched(fixes), None)
   }
 }

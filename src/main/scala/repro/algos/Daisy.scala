@@ -49,7 +49,7 @@ object Daisy extends RepairAlgorithm {
     // blocks using TUPLE-level similarity (every attribute of every tuple
     // pair) — quadratic in block size times schema arity, the source of
     // Daisy's Table 6 timeouts
-    for (dc <- Common.pureDcs(in.rules)) {
+    for (dc <- Rule.pureDcs(in.rules)) {
       val eqAttrs = dc.equalityPreds.collect {
         case Pred(a, "=", PredOperand.Attr(b), _) if a == b => a
       }

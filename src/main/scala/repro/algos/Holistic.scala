@@ -1,6 +1,5 @@
 package repro.algos
 
-import org.apache.spark.sql.DataFrame
 import repro.core._
 
 /** Holistic data cleaning (Chu et al., ICDE'13) — rule-driven.
@@ -24,18 +23,17 @@ object Holistic extends RepairAlgorithm {
   private val Rounds = 2
 
   override def repair(in: RepairInput): RepairResult = {
-    var df: DataFrame = in.dirty
+    var tab = in.table
     var round = 0
     while (round < Rounds) {
       in.budget.checkTime(s"$name round $round")
-      val fdFixes = in.fds.map(fd => Common.fdMajorityRepairs(df, fd, tieLexicMin = true))
-      val dcFixes = Common.pureDcs(in.rules).map(dc => Common.dcOrderRepairs(df, dc))
-      val all = (fdFixes ++ dcFixes).reduceOption(_ union _).getOrElse(Cells.noRepairs(df))
-      val allCached = all.localCheckpoint()
-      val nFixes = allCached.count()
-      df = if (nFixes == 0) df else Cells.applyRepairs(df, in.attrs, allCached).localCheckpoint()
-      round = if (nFixes == 0) Rounds else round + 1
+      // each round re-detects on the table the previous round patched
+      val idx = new RuleIndex(tab, in.rules)
+      val fixes = idx.fds.flatMap(fd => idx.majorityFixes(fd, tieLexicMin = true)) ++
+        idx.dcs.flatMap(idx.dcOrderFixes)
+      if (fixes.isEmpty) round = Rounds
+      else { tab = tab.patched(fixes); round += 1 }
     }
-    RepairResult(df)
+    RepairResult(in.spark, tab, None)
   }
 }

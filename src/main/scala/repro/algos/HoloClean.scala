@@ -45,24 +45,22 @@ object HoloClean extends RepairAlgorithm {
   override def repair(in: RepairInput): RepairResult = {
     val tab = in.table
     val n = tab.tids.length
+    val idx = new RuleIndex(tab, in.rules)
+    // per attribute, the rows holding each value: co-occurrence and frequency
+    val index = tab.valueRows()
+    def freq(j: Int, v: String): Int = index(j).get(v).fold(0)(_.size)
 
     // ---- internal error detection (weak supervision signals) ----
-    val violationCells = Cells.cellSet(Violations.violatingCells(in.dirty, in.rules))
-    val freq: Array[Map[String, Int]] = in.attrs.indices.map { j =>
-      tab.rows.indices.groupBy(i => tab.rows(i)(j)).view.mapValues(_.size).toMap
-    }.toArray
+    val violationCells = idx.violatingCells
     val detected = scala.collection.mutable.LinkedHashSet.empty[(Long, String)]
     for (i <- tab.rows.indices; j <- in.attrs.indices) {
       val v = tab.rows(i)(j)
       val cell = (tab.tids(i), in.attrs(j))
-      if (Tabular.MvTokens.contains(v) || freq(j)(v) <= 1 || violationCells.contains(cell))
+      if (Tabular.MvTokens.contains(v) || freq(j, v) <= 1 || violationCells.contains(cell))
         detected += cell
     }
 
     // ---- candidate domain generation from co-occurrence ----
-    val index: Array[Map[String, Seq[Int]]] = in.attrs.indices.map { j =>
-      tab.rows.indices.groupBy(i => tab.rows(i)(j)).view.mapValues(_.toSeq).toMap
-    }.toArray
     // The compiled program materializes co-occurrence statistics for every
     // (noisy cell, context) pair BEFORE inference — account that state
     // against the memory budget up front: this is Table 6's n/a* source.
@@ -74,10 +72,7 @@ object HoloClean extends RepairAlgorithm {
     }
     in.budget.checkCells(domainEntries, s"$name domain generation")
 
-    val fdByRhs: Map[String, Seq[FD]] = Rule.asFds(in.rules).groupBy(_.rhs)
-    // per-FD LHS-group index so rule support is O(group), not O(n)
-    val fdGroupIndex: Map[FD, Map[String, Seq[Int]]] =
-      Rule.asFds(in.rules).map(fd => fd -> tab.groupBy(fd.lhs)).toMap
+    val fdByRhs: Map[String, Seq[FD]] = idx.fds.groupBy(_.rhs)
 
     val fixes = scala.collection.mutable.ArrayBuffer.empty[(Long, String, String)]
     var processed = 0
@@ -109,7 +104,8 @@ object HoloClean extends RepairAlgorithm {
           val fds = fdByRhs.getOrElse(attr, Nil)
           if (fds.isEmpty) 0.0
           else fds.map { fd =>
-            val mates = fdGroupIndex(fd).getOrElse(tab.key(i, fd.lhs), Nil).filter(_ != i)
+            // the FD's LHS group, so rule support is O(group), not O(n)
+            val mates = idx.groups(fd)(tab.key(i, fd.lhs)).rows.filter(_ != i)
             if (mates.isEmpty) 0.0
             else mates.count(m => tab.rows(m)(j) == v).toDouble / mates.size
           }.max
@@ -117,7 +113,7 @@ object HoloClean extends RepairAlgorithm {
         val attrTotal = n.toDouble
         def score(v: String): Double = {
           val cooc = tally(v).toDouble / total
-          val fr = freq(j).getOrElse(v, 0) / attrTotal
+          val fr = freq(j, v) / attrTotal
           val prior = if (v == observed) WPriorDetected else 0.0
           WCooc * cooc + WFreq * fr + WRule * ruleSupport(v) + prior
         }

@@ -1,6 +1,5 @@
 package repro.algos
 
-import org.apache.spark.sql.DataFrame
 import repro.core._
 
 /** Horizon (Rezig et al., VLDB'21) — rule-driven, FDs only.
@@ -18,7 +17,7 @@ object Horizon extends RepairAlgorithm {
   override val category = "Rule-Driven"
 
   override def repair(in: RepairInput): RepairResult = {
-    var df: DataFrame = in.dirty
+    var tab = in.table
     // the pattern graph's edges connect single values left-to-right, so
     // only single-attribute-LHS dependencies materialize as patterns
     val ordered = in.fds.filter(_.lhs.size == 1)
@@ -26,12 +25,10 @@ object Horizon extends RepairAlgorithm {
       in.budget.checkTime(s"$name ${fd.id}")
       // a pattern is only trusted when it is strictly the most supported
       // one for its LHS value (support >= 2, no ties)
-      val fixes = Common.fdMajorityRepairs(df, fd, tieLexicMin = true,
-        minSupport = 2L, skipTies = true)
-      // checkpoint per pass: ten chained repair plans otherwise make
-      // Catalyst re-optimize an ever-growing tree
-      df = Cells.applyRepairs(df, in.attrs, fixes).localCheckpoint()
+      val fixes = new RuleIndex(tab, Seq(fd)).majorityFixes(fd, tieLexicMin = true,
+        minSupport = 2, skipTies = true)
+      tab = tab.patched(fixes)
     }
-    RepairResult(df)
+    RepairResult(in.spark, tab, None)
   }
 }

@@ -1,6 +1,5 @@
 package repro.algos
 
-import org.apache.spark.sql.DataFrame
 import repro.core._
 
 /** MLNClean (Ge et al., TKDE'22) — rule-driven with Markov Logic reasoning.
@@ -21,15 +20,12 @@ object MLNClean extends RepairAlgorithm {
   /** Reliability threshold on an instantiated rule (majority confidence). */
   private val MinReliability = 0.8
   /** Minimum ground-pattern support (fusion score floor). */
-  private val MinSupport = 3L
+  private val MinSupport = 3
 
   override def repair(in: RepairInput): RepairResult = {
-    val df = in.dirty
-    val fixes = in.fds
-      .map(fd => Common.fdMajorityRepairs(df, fd, tieLexicMin = true,
-        minSupport = MinSupport, minConfidence = MinReliability))
-      .reduceOption(_ union _)
-      .getOrElse(Cells.noRepairs(df))
-    RepairResult(Cells.applyRepairs(df, in.attrs, fixes))
+    val idx = new RuleIndex(in.table, in.rules)
+    val fixes = idx.fds.flatMap(fd => idx.majorityFixes(fd, tieLexicMin = true,
+      minSupport = MinSupport, minConfidence = MinReliability))
+    RepairResult(in.spark, in.table.patched(fixes), None)
   }
 }

@@ -33,7 +33,7 @@ object Scare extends RepairAlgorithm {
     val n = tab.tids.length
     // partial detection results: external when provided, else rule violations
     val flagged =
-      in.flagged.getOrElse(Cells.cellSet(Violations.violatingCells(in.dirty, in.rules)))
+      in.flagged.getOrElse(new RuleIndex(tab, in.rules).violatingCells)
     val dirtyTids: Set[Long] = flagged.map(_._1)
 
     val nBlocks = math.max(1, n / BlockSize)

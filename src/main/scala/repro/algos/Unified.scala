@@ -1,6 +1,5 @@
 package repro.algos
 
-import org.apache.spark.sql.{functions => F}
 import repro.core._
 
 /** Unified (Chiang & Miller, ICDE'11) — rule&data-driven, tolerant repair.
@@ -25,28 +24,22 @@ object Unified extends RepairAlgorithm {
   private val RuleRepairCostBase = 8.0
 
   override def repair(in: RepairInput): RepairResult = {
-    val df = in.dirty
-    val n = df.count().toDouble
-    val fixes = in.fds.flatMap { fd =>
+    val idx = new RuleIndex(in.table, in.rules)
+    val n = in.table.tids.length.toDouble
+    val fixes = idx.fds.flatMap { fd =>
       in.budget.checkTime(s"$name ${fd.id}")
       // deviating mass: minimal cell changes to align every violating
       // group with its core (most frequent) pattern
-      val winners = Common.fdWinners(df, fd).where(F.col("nDistinct") > 1)
-      val devRow = winners
-        .agg(F.sum(F.col("grpSize") - F.col("winCnt")).as("dev"),
-          F.count(F.lit(1)).as("groups"))
-        .collect()(0)
-      val deviating = Option(devRow.get(0)).map(_.toString.toDouble).getOrElse(0.0)
-      val dataCost = deviating
+      val dataCost = idx.groups(fd).valuesIterator
+        .collect { case g if g.nDistinct > 1 => g.size - g.top }.sum.toDouble
       val ruleCost = RuleRepairCostBase + RuleRepairCostFraction * n
       if (dataCost <= ruleCost)
         // repair data toward core patterns (support >= 2 keeps the
         // pattern "core" rather than singleton noise)
-        Some(Common.fdMajorityRepairs(df, fd, tieLexicMin = true, minSupport = 2L))
+        idx.majorityFixes(fd, tieLexicMin = true, minSupport = 2)
       else
-        None // repair the rule instead: Sigma' drops/relaxes it, data untouched
+        Nil // repair the rule instead: Sigma' drops/relaxes it, data untouched
     }
-    val all = fixes.reduceOption(_ union _).getOrElse(Cells.noRepairs(df))
-    RepairResult(Cells.applyRepairs(df, in.attrs, all))
+    RepairResult(in.spark, in.table.patched(fixes), None)
   }
 }

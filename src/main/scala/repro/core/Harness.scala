@@ -49,7 +49,11 @@ object Harness {
   private def detections(gd: GeneratedDataset): DataFrame =
     Cells.cellFrame(gd.dirty.sparkSession, Raha.flag(gd.table, gd.rules, gd.labeled))
 
-  /** Run one algorithm on one dataset under a wall-clock budget. */
+  /** Run one algorithm on one dataset under a wall-clock budget. A run
+    * whose repair takes longer than `budgetMs` reads n/a, also when it
+    * returns inside the grace window; every n/a reports the run's real
+    * elapsed seconds.
+    */
   def runOne(algo: RepairAlgorithm, gd: GeneratedDataset, budgetMs: Long,
              maxCells: Long = Long.MaxValue,
              precomputedDetections: Option[DataFrame] = None): RunOutcome = {
@@ -78,10 +82,11 @@ object Harness {
 
     result match {
       case None =>
+        val secs = elapsed
         spark.sparkContext.cancelJobGroup(groupId)
         t.interrupt()
         t.join(10000)
-        RunOutcome(algo.name, algo.category, gd.name, "n/a", None, budgetMs / 1e3)
+        RunOutcome(algo.name, algo.category, gd.name, "n/a", None, secs)
       case Some(Left(_: BudgetExceeded)) =>
         RunOutcome(algo.name, algo.category, gd.name, "n/a", None, elapsed)
       case Some(Left(_: SimulatedOOM)) =>
@@ -89,6 +94,8 @@ object Harness {
       case Some(Left(e)) =>
         Console.err.println(s"[Harness] ${algo.name} on ${gd.name} failed: $e")
         RunOutcome(algo.name, algo.category, gd.name, "err", None, 0.0)
+      case Some(Right((_, secs))) if secs * 1e3 > budgetMs =>
+        RunOutcome(algo.name, algo.category, gd.name, "n/a", None, secs)
       case Some(Right((res, secs))) =>
         val ev = Metrics.score(gd.errors, gd.table.diff(res.table), res.flagged)
         RunOutcome(algo.name, algo.category, gd.name, "ok", Some(ev), secs)

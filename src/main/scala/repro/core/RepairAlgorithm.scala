@@ -4,10 +4,13 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import Cells.Cell
 
 /** Everything a repair algorithm may consume (Table 3's "Input" column).
+  * Algorithms read the driver-side [[table]], never the relation.
   *
-  * - `dirty`: the observed relation (`__tid` + string attrs) — OD
+  * - `dirty`: the observed relation (`__tid` + string attrs) — OD; only
+  *   [[table]] reads it, and only when `dirtyTable` is not given
   * - `rules`: FDs/DCs that held on the clean data — R
-  * - `detections`: cells flagged by an external detector (Raha) — ADR/PDR
+  * - `detections`: cells flagged by an external detector (Raha) — ADR/PDR,
+  *   read through [[flagged]]
   * - `labeled`: clean values of the 20 labeled tuples — LD
   * - `classTarget`: label column for the downstream model — DM
   * - `dirtyTable`: `dirty` on the driver, when the caller already holds it
@@ -49,17 +52,13 @@ final case class RepairResult(spark: SparkSession, table: Tabular, flagged: Opti
   lazy val detections: Option[DataFrame] = flagged.map(Cells.cellFrame(spark, _))
 }
 
-object RepairResult {
-  /** A result given as relations, collected to the driver here, so a
-    * Spark-side algorithm pays for the collect inside its own run.
-    */
-  def apply(repaired: DataFrame, detections: Option[DataFrame] = None): RepairResult =
-    RepairResult(repaired.sparkSession,
-      Tabular.collect(repaired, repaired.columns.toSeq.filterNot(_ == Cells.Tid)),
-      detections.map(Cells.cellSet))
-}
-
-/** A data repair algorithm from the paper's taxonomy (Section 3). */
+/** A data repair algorithm from the paper's taxonomy (Section 3).
+  *
+  * Conflicts: when an algorithm proposes more than one value for a cell,
+  * the first proposal in rule order wins. Algorithms list their fixes
+  * rule by rule and write them back with [[Tabular.patched]], which keeps
+  * the first proposal for each cell.
+  */
 trait RepairAlgorithm {
   /** Display name used in tables. */
   def name: String

@@ -87,4 +87,9 @@ object Rule {
     case fd: FD => Some(fd)
     case dc: DC => dcAsFd(dc)
   }
+
+  /** The DCs of `rules` that are not FDs in disguise. */
+  def pureDcs(rules: Seq[Rule]): Seq[DC] = rules.collect {
+    case dc: DC if dcAsFd(dc).isEmpty => dc
+  }
 }

@@ -14,15 +14,21 @@ final case class Tabular(tids: Array[Long], rows: Array[Array[String]],
   def value(tid: Long, attr: String): String = rows(tidIdx(tid))(attrIdx(attr))
 
   /** Composite key of row `i` over `cols` (an FD's LHS, a DC's equality
-    * attributes), joined with [[Violations.Sep]] so that ("ab", "c") and
+    * attributes), joined with [[Tabular.Sep]] so that ("ab", "c") and
     * ("a", "bc") stay apart.
     */
   def key(i: Int, cols: Seq[String]): String =
-    cols.map(a => rows(i)(attrIdx(a))).mkString(Violations.Sep)
+    cols.map(a => rows(i)(attrIdx(a))).mkString(Tabular.Sep)
 
   /** Row indexes grouped by their [[key]] over `cols`. */
   def groupBy(cols: Seq[String]): Map[String, IndexedSeq[Int]] =
     rows.indices.groupBy(key(_, cols))
+
+  /** Per attribute `j`, the row indexes holding each value: `valueRows()(j)(v)`.
+    * Built anew on every call, so the table keeps nothing between runs.
+    */
+  def valueRows(): Array[Map[String, IndexedSeq[Int]]] =
+    Array.tabulate(attrs.size)(j => rows.indices.groupBy(rows(_)(j)))
 
   /** Cells where `after` differs from this table: `(tid, attr) -> after's
     * value`. Tuples present on one side only are skipped.
@@ -52,6 +58,9 @@ final case class Tabular(tids: Array[Long], rows: Array[Array[String]],
 }
 
 object Tabular {
+
+  /** Separator for composite keys. */
+  val Sep = "\u0001"
 
   /** Missing-value tokens: never a repair candidate, since real candidates
     * come from the active domain and "repairing" toward NULL has unbounded

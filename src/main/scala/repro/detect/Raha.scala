@@ -2,7 +2,7 @@ package repro.detect
 
 import scala.collection.{BitSet, mutable}
 import org.apache.spark.sql.DataFrame
-import repro.core.{Cells, DC, Pred, PredOperand, Rule, Tabular}
+import repro.core.{Cells, Rule, RuleIndex, Tabular}
 
 /** Simplified Raha (Mahdavi et al., SIGMOD'19): configuration-free error
   * detection via a per-column detector ensemble calibrated on few labels.
@@ -45,16 +45,6 @@ object Raha {
   private def signature(v: String): String =
     SpaceRun.replaceAllIn(LetterRun.replaceAllIn(DigitRun.replaceAllIn(v, "9"), "a"), "_")
 
-  /** Strings in binary UTF-8 order (the order of code points), the order
-    * Spark sorts strings in; `String.compareTo` differs on surrogate pairs.
-    */
-  private val Utf8Order: Ordering[String] = (x: String, y: String) => {
-    var i = 0
-    while (i < x.length && i < y.length && x.charAt(i) == y.charAt(i)) i += 1
-    if (i == x.length || i == y.length) x.length compare y.length
-    else x.codePointAt(i) compare y.codePointAt(i)
-  }
-
   /** Rows each detector flags in each column: `(attr, detector) -> row
     * indexes` of `table`; pairs that flag nothing are absent.
     */
@@ -80,106 +70,19 @@ object Raha {
       for (i <- table.rows.indices; det <- hits(table.rows(i)(j))) mark(a, det, i)
     }
     // RULE flags likely culprits (group minorities), not whole violating
-    // groups — group-level flags would tank precision and get deselected
-    for (fd <- Rule.asFds(rules)) {
+    // groups — group-level flags would tank precision and get deselected.
+    // Its winner is the top count's smallest value, missing values included.
+    val idx = new RuleIndex(table, rules)
+    for (fd <- idx.fds; g <- idx.groups(fd).valuesIterator if g.nDistinct > 1) {
       val rhs = table.attrIdx(fd.rhs)
-      for (rows <- table.groupBy(fd.lhs).values) {
-        val counts = rows.groupMapReduce(table.rows(_)(rhs))(_ => 1)(_ + _)
-        if (counts.size > 1) {
-          val top = counts.values.max
-          val winner = counts.collect { case (v, c) if c == top => v }.min(Utf8Order)
-          rows.filter(table.rows(_)(rhs) != winner).foreach(mark(fd.rhs, "RULE", _))
-        }
-      }
+      val winner = g.tied.min(RuleIndex.Utf8Order)
+      g.rows.filter(table.rows(_)(rhs) != winner).foreach(mark(fd.rhs, "RULE", _))
     }
-    for (dc <- rules.collect { case dc: DC if Rule.dcAsFd(dc).isEmpty => dc }) {
-      val rows = dcViolatingRows(table, dc)
-      for (a <- dc.attrs; i <- rows) mark(a, "RULE", i)
+    for (dc <- idx.dcs) {
+      val degrees = idx.degrees(dc)
+      for (a <- dc.attrs; i <- degrees.indices if degrees(i) > 0) mark(a, "RULE", i)
     }
     out.view.mapValues(_.toImmutable: BitSet).toMap
-  }
-
-  /** Rows of tuples in a pair violating `dc`, either side. Equality
-    * predicates between tuples group the candidates; the others filter
-    * every ordered pair of distinct tuples inside a group. A numeric
-    * operand is read as Spark's `try_cast(... AS DOUBLE)`, so a value that
-    * does not parse makes its predicate false, as SQL's NULL does.
-    */
-  private def dcViolatingRows(table: Tabular, dc: DC): BitSet = {
-    def strings(attr: String): Array[String] = { val j = table.attrIdx(attr); table.rows.map(_(j)) }
-    def doubles(attr: String): Array[java.lang.Double] = strings(attr).map(toDouble)
-    // whether a predicate holds for t1 = row i, t2 = row k
-    val filters: Array[(Int, Int) => Boolean] = dc.filterPreds.map { p =>
-      val test = opTest(p.op)
-      (p.numeric, p.right) match {
-        case (true, PredOperand.Attr(b)) =>
-          val ((l, lOk), (r, rOk)) = (unboxed(doubles(p.left)), unboxed(doubles(b)))
-          (i: Int, k: Int) => lOk(i) && rOk(k) && test(compareDoubles(l(i), r(k)))
-        case (true, PredOperand.Const(v)) =>
-          val ((l, lOk), c) = (unboxed(doubles(p.left)), toDouble(v))
-          (i: Int, _: Int) => c != null && lOk(i) && test(compareDoubles(l(i), c))
-        case (false, PredOperand.Attr(b)) =>
-          val (l, r) = (strings(p.left), strings(b))
-          (i: Int, k: Int) => test(Utf8Order.compare(l(i), r(k)))
-        case (false, PredOperand.Const(v)) =>
-          val l = strings(p.left)
-          (i: Int, _: Int) => test(Utf8Order.compare(l(i), v))
-      }
-    }.toArray
-    // join keys as SQL equality sees them: no NULL part, -0.0 = 0.0, NaN = NaN
-    def keys(attrs: Seq[(String, Boolean)]): Array[Option[Seq[Any]]] = {
-      val cols: Seq[Int => Any] = attrs.map {
-        case (a, true) =>
-          val xs = doubles(a)
-          i => if (xs(i) == null) null else java.lang.Double.doubleToLongBits(xs(i) + 0.0)
-        case (a, false) =>
-          val xs = strings(a)
-          xs(_)
-      }
-      Array.tabulate(table.rows.length) { i =>
-        val k = cols.map(_(i))
-        if (k.contains(null)) None else Some(k)
-      }
-    }
-    val eqs = dc.equalityPreds.collect { case Pred(l, _, PredOperand.Attr(r), numeric) => (l, r, numeric) }
-    val (lefts, rights) = (keys(eqs.map(e => (e._1, e._3))), keys(eqs.map(e => (e._2, e._3))))
-    val byKey: Map[Seq[Any], Array[Int]] = rights.indices.flatMap(k => rights(k).map(_ -> k))
-      .groupMap(_._1)(_._2).view.mapValues(_.toArray).toMap
-    def violates(i: Int, k: Int): Boolean = k != i && filters.forall(_(i, k))
-    val out = mutable.BitSet.empty
-    for (i <- lefts.indices; key <- lefts(i); group <- byKey.get(key); k <- group if violates(i, k)) {
-      out += i; out += k
-    }
-    out
-  }
-
-  /** Doubles with a flag per value: false where the cast failed. */
-  private def unboxed(xs: Array[java.lang.Double]): (Array[Double], Array[Boolean]) =
-    (xs.map(x => if (x == null) 0.0 else x.doubleValue), xs.map(_ != null))
-
-  /** SQL's order on doubles: -0.0 = 0.0, NaN = NaN and above every number. */
-  private def compareDoubles(x: Double, y: Double): Int =
-    if (x == y) 0 else java.lang.Double.compare(x, y)
-
-  /** Spark's string-to-double cast, or null where `try_cast` gives NULL. */
-  private def toDouble(s: String): java.lang.Double =
-    try java.lang.Double.valueOf(s)
-    catch {
-      case _: NumberFormatException => s.trim.toLowerCase(java.util.Locale.ROOT) match {
-        case "inf" | "+inf" | "infinity" | "+infinity" => Double.PositiveInfinity
-        case "-inf" | "-infinity"                      => Double.NegativeInfinity
-        case "nan"                                     => Double.NaN
-        case _                                         => null
-      }
-    }
-
-  private def opTest(op: String): Int => Boolean = op match {
-    case "="  => _ == 0
-    case "!=" => _ != 0
-    case "<"  => _ < 0
-    case ">"  => _ > 0
-    case "<=" => _ <= 0
-    case ">=" => _ >= 0
   }
 
   /** Run detection on the driver. `labeled` maps (tid, attr) -> clean

@@ -167,7 +167,7 @@ class BoostCleanSpec extends ReproSpec with AlgoFixtures {
     val df = mkDf(spark, attrs)(rows: _*)
     val in = RepairInput(spark, "t", df, attrs, Nil, classTarget = Some("label"))
     val res = BoostClean.repair(in)
-    val changed = Cells.changedCells(df, res.repaired, attrs).collect()
+    val changed = SparkCells.changedCells(df, res.repaired, attrs).collect()
     assert(changed.forall(r => r.getString(1) != "label"))
   }
 
@@ -193,7 +193,7 @@ class BoostCleanSpec extends ReproSpec with AlgoFixtures {
     val in = RepairInput(spark, "t", df, attrs, Nil, classTarget = Some("label"))
     val res = BoostClean.repair(in)
     val det = res.detections.get.collect().map(r => (r.getLong(0), r.getString(1))).toSet
-    val changed = Cells.changedCells(df, res.repaired, attrs).collect()
+    val changed = SparkCells.changedCells(df, res.repaired, attrs).collect()
       .map(r => (r.getLong(0), r.getString(1))).toSet
     assert(changed.subsetOf(det))
   }

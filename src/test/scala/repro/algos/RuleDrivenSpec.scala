@@ -219,7 +219,7 @@ class NadeefSpec extends ReproSpec with AlgoFixtures {
     // after round 1 the typo city joins the Springfield group; round 2 has
     // nothing left to do — no oscillation
     assert(cell(res.repaired, cityAttrs, 2L, "city") === "Springfield")
-    assert(Violations.violatingCells(res.repaired, Seq(zipCity)).count() === 0)
+    assert(SparkViolations.violatingCells(res.repaired, Seq(zipCity)).count() === 0)
   }
 }
 

@@ -4,8 +4,12 @@ import org.apache.spark.sql.{DataFrame, functions => F}
 import org.apache.spark.sql.expressions.Window
 import repro.core._
 
-/** Shared building blocks for the repair algorithms. */
-object Common {
+/** Reference implementation of the FD-majority family's building blocks
+  * as DataFrame programs. [[RuleIndex]] computes the same proposals on the
+  * driver; tests check it against these, and the `Spark*` algorithms use
+  * them as the references of the ported algorithms.
+  */
+object SparkCommon {
   import Cells.Tid
 
   /** Per-FD winning pattern per LHS group:
@@ -16,7 +20,7 @@ object Common {
     * `false` by the largest (BigDansing's).
     */
   def fdWinners(df: DataFrame, fd: FD, tieLexicMin: Boolean = true): DataFrame = {
-    val pats = Violations.fdPatternCounts(df, fd)
+    val pats = SparkViolations.fdPatternCounts(df, fd)
     val ord  = if (tieLexicMin) F.col("rhsVal").asc else F.col("rhsVal").desc
     val mvLast = F.when(F.col("rhsVal").isin(Tabular.MvTokens: _*), 1).otherwise(0)
     val w    = Window.partitionBy("lhsKey").orderBy(F.col("cnt").desc, mvLast.asc, ord)
@@ -48,7 +52,7 @@ object Common {
       .where(F.col("winCnt") >= F.col("grpSize") * minConfidence)
     // skipTies: a strict majority — the winner must beat every runner-up
     val winners = if (skipTies) winners0.where(F.col("nAtMax") === 1) else winners0
-    df.select(F.col(Tid), Violations.groupKey(fd.lhs).as("lhsKey"),
+    df.select(F.col(Tid), SparkViolations.groupKey(fd.lhs).as("lhsKey"),
         F.col(fd.rhs).as("rhsVal"))
       .join(winners, "lhsKey")
       .where(F.col("rhsVal") =!= F.col("winner"))
@@ -71,21 +75,21 @@ object Common {
     val sameAttrOrder = orderPreds.collect {
       case Pred(a, _, PredOperand.Attr(b), _) if a == b => a
     }
-    if (eqAttrs.isEmpty || sameAttrOrder.size < 2) return Cells.noRepairs(df)
+    if (eqAttrs.isEmpty || sameAttrOrder.size < 2) return SparkCells.noRepairs(df)
     // treat the last order attribute as the dependent one and the others
     // as its context: majority of (eqAttrs ++ context) -> dependent
     val dependent = sameAttrOrder.last
     val context   = sameAttrOrder.dropRight(1)
     val impliedFd = FD(eqAttrs ++ context, dependent)
 
-    val pairs = Violations.dcViolatingPairs(df, dc)
+    val pairs = SparkViolations.dcViolatingPairs(df, dc)
     val badTids = pairs.select(F.col("tid1").as(Tid))
       .union(pairs.select(F.col("tid2").as(Tid)))
       .groupBy(Tid).agg(F.count(F.lit(1)).as("deg"))
       .cache()
     // vertex-cover spirit: only tuples in many violations are culprits
     val avgRow = badTids.agg(F.avg("deg")).collect()(0)
-    if (avgRow.isNullAt(0)) { badTids.unpersist(); return Cells.noRepairs(df) }
+    if (avgRow.isNullAt(0)) { badTids.unpersist(); return SparkCells.noRepairs(df) }
     val culprits = badTids.where(F.col("deg") > avgRow.getDouble(0)).select(Tid)
     val out = fdMajorityRepairsForTids(df, impliedFd, culprits)
     badTids.unpersist()
@@ -96,15 +100,10 @@ object Common {
   private def fdMajorityRepairsForTids(df: DataFrame, fd: FD, tids: DataFrame): DataFrame = {
     val winners = fdWinners(df, fd).where(F.col("winCnt") >= 2)
     df.join(tids, Tid)
-      .select(F.col(Tid), Violations.groupKey(fd.lhs).as("lhsKey"),
+      .select(F.col(Tid), SparkViolations.groupKey(fd.lhs).as("lhsKey"),
         F.col(fd.rhs).as("rhsVal"))
       .join(winners, "lhsKey")
       .where(F.col("rhsVal") =!= F.col("winner"))
       .select(F.col(Tid), F.lit(fd.rhs).as("attr"), F.col("winner").as("value"))
-  }
-
-  /** DCs that are not FDs in disguise. */
-  def pureDcs(rules: Seq[Rule]): Seq[DC] = rules.collect {
-    case dc: DC if Rule.dcAsFd(dc).isEmpty => dc
   }
 }

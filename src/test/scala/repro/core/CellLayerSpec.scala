@@ -61,7 +61,7 @@ class CellLayerSpec extends ReproSpec {
 
   /** The case's repairs applied by the Spark-side tid join. */
   private def joinRepaired(c: Case, dirty: DataFrame): DataFrame =
-    Cells.applyRepairs(dirty, c.attrs, repairsDf(c.repairs))
+    SparkCells.applyRepairs(dirty, c.attrs, repairsDf(c.repairs))
 
   private def ratio(n: Long, d: Long): Double = if (d == 0) 0.0 else n.toDouble / d
   private def f1(p: Double, r: Double): Double = if (p + r == 0) 0.0 else 2 * p * r / (p + r)
@@ -116,7 +116,7 @@ class CellLayerSpec extends ReproSpec {
     for (c <- cases) {
       val dirty = TestUtil.mkDf(spark, c.attrs)(c.dirty: _*)
       val firstWins = c.repairs.distinctBy(r => (r._1, r._2))
-      val reference = collected(c, Cells.applyRepairs(dirty, c.attrs, repairsDf(firstWins)))
+      val reference = collected(c, SparkCells.applyRepairs(dirty, c.attrs, repairsDf(firstWins)))
       val table = Tabular.collect(dirty, c.attrs)
       assert(collected(c, Cells.publish(spark, table.patched(c.repairs))) === reference, c)
     }
@@ -134,7 +134,7 @@ class CellLayerSpec extends ReproSpec {
         c.attrs.last, Nil, Map.empty, table, d.collect { case (cell, v) if v != k(cell) => cell -> k(cell) })
       val fixed = new RepairAlgorithm {
         val name = "Fixed"; val category = "Test"
-        def repair(in: RepairInput) = RepairResult(repaired, det)
+        def repair(in: RepairInput) = SparkCells.result(repaired, det)
       }
       val o = Harness.runOne(fixed, gd, budgetMs = 60000,
         precomputedDetections = Some(detectionsDf(Nil)))
@@ -159,7 +159,7 @@ class CellLayerSpec extends ReproSpec {
     for (c <- cases) {
       val dirty = TestUtil.mkDf(spark, c.attrs)(c.dirty: _*)
       val repaired = joinRepaired(c, dirty).cache()
-      val guarded = DetectionGuard.guard(dirty, c.attrs, RepairResult(repaired),
+      val guarded = DetectionGuard.guard(dirty, c.attrs, SparkCells.result(repaired),
         detectionsDf(c.detections))
       val (d, r, k) = (cellsOf(c.attrs, c.dirty), collected(c, repaired), cellsOf(c.attrs, c.clean))
       val g = collected(c, guarded.repaired)

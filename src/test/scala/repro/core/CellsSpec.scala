@@ -12,11 +12,11 @@ class CellsSpec extends ReproSpec {
   )
 
   test("melt produces one row per cell") {
-    assert(Cells.melt(df, attrs).count() === 9)
+    assert(SparkCells.melt(df, attrs).count() === 9)
   }
 
   test("melt keeps tid/attr/value triples intact") {
-    val m = Cells.melt(df, attrs).collect()
+    val m = SparkCells.melt(df, attrs).collect()
       .map(r => (r.getLong(0), r.getString(1), r.getString(2))).toSet
     assert(m.contains((0L, "a", "1")))
     assert(m.contains((2L, "c", "r")))
@@ -24,7 +24,7 @@ class CellsSpec extends ReproSpec {
   }
 
   test("melt matches a DuckDB unpivot count") {
-    val counts = Cells.melt(df, attrs)
+    val counts = SparkCells.melt(df, attrs)
       .groupBy("attr").agg(F.count(F.lit(1)).as("n"))
     Oracle.assertEquivalent(counts,
       "SELECT attr, count(*) AS n FROM (" +
@@ -36,7 +36,7 @@ class CellsSpec extends ReproSpec {
   test("applyRepairs rewrites targeted cells only") {
     val reps = TestUtil.mkDf(spark, Seq("attr", "value"))(Seq("b", "FIXED"))
       .select(F.lit(1L).as(Cells.Tid), F.col("attr"), F.col("value"))
-    val out = Cells.applyRepairs(df, attrs, reps)
+    val out = SparkCells.applyRepairs(df, attrs, reps)
     val m = TestUtil.toMap(out, attrs)
     assert(m(1L) === Seq("2", "FIXED", "q"))
     assert(m(0L) === Seq("1", "x", "p"))
@@ -44,7 +44,7 @@ class CellsSpec extends ReproSpec {
   }
 
   test("applyRepairs with no repairs is identity") {
-    val out = Cells.applyRepairs(df, attrs, Cells.noRepairs(df))
+    val out = SparkCells.applyRepairs(df, attrs, SparkCells.noRepairs(df))
     assert(TestUtil.toMap(out, attrs) === TestUtil.toMap(df, attrs))
   }
 
@@ -52,7 +52,7 @@ class CellsSpec extends ReproSpec {
     val reps = TestUtil.mkDf(spark, Seq("attr", "value"))(
       Seq("b", "FIX"), Seq("b", "FIX"))
       .select(F.lit(0L).as(Cells.Tid), F.col("attr"), F.col("value"))
-    val out = Cells.applyRepairs(df, attrs, reps)
+    val out = SparkCells.applyRepairs(df, attrs, reps)
     assert(TestUtil.cell(out, attrs, 0L, "b") === "FIX")
   }
 
@@ -68,19 +68,19 @@ class CellsSpec extends ReproSpec {
   test("changedCells reports old and new values") {
     val reps = TestUtil.mkDf(spark, Seq("attr", "value"))(Seq("c", "NEW"))
       .select(F.lit(2L).as(Cells.Tid), F.col("attr"), F.col("value"))
-    val out = Cells.applyRepairs(df, attrs, reps)
-    val ch = Cells.changedCells(df, out, attrs).collect()
+    val out = SparkCells.applyRepairs(df, attrs, reps)
+    val ch = SparkCells.changedCells(df, out, attrs).collect()
     assert(ch.length === 1)
     assert(ch(0).getAs[String]("old") === "r")
     assert(ch(0).getAs[String]("new") === "NEW")
   }
 
   test("changedCells is empty for identical frames") {
-    assert(Cells.changedCells(df, df, attrs).count() === 0)
+    assert(SparkCells.changedCells(df, df, attrs).count() === 0)
   }
 
   test("noRepairs has the repair schema and zero rows") {
-    val nr = Cells.noRepairs(df)
+    val nr = SparkCells.noRepairs(df)
     assert(nr.columns.toSeq === Seq(Cells.Tid, "attr", "value"))
     assert(nr.count() === 0)
   }

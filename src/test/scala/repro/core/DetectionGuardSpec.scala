@@ -19,20 +19,20 @@ class DetectionGuardSpec extends ReproSpec {
     spark.createDataFrame(cells).toDF(Cells.Tid, "attr")
 
   test("guard keeps changes on detected cells") {
-    val res = DetectionGuard.guard(dirty, attrs, RepairResult(destructive),
+    val res = DetectionGuard.guard(dirty, attrs, SparkCells.result(destructive),
       detOnly((1L, "b")))
     assert(TestUtil.cell(res.repaired, attrs, 1L, "b") === "y")
   }
 
   test("guard reverts changes on undetected cells") {
-    val res = DetectionGuard.guard(dirty, attrs, RepairResult(destructive),
+    val res = DetectionGuard.guard(dirty, attrs, SparkCells.result(destructive),
       detOnly((1L, "b")))
     assert(TestUtil.cell(res.repaired, attrs, 0L, "a") === "1")
   }
 
   test("guard improves EDR of a destructive repair") {
     val raw = Metrics.evaluate(dirty, destructive, clean, attrs)
-    val res = DetectionGuard.guard(dirty, attrs, RepairResult(destructive),
+    val res = DetectionGuard.guard(dirty, attrs, SparkCells.result(destructive),
       detOnly((1L, "b")))
     val guarded = Metrics.evaluate(dirty, res.repaired, clean, attrs, res.detections)
     assert(guarded.edr > raw.edr)
@@ -40,7 +40,7 @@ class DetectionGuardSpec extends ReproSpec {
   }
 
   test("guard with empty detections reverts everything") {
-    val res = DetectionGuard.guard(dirty, attrs, RepairResult(destructive),
+    val res = DetectionGuard.guard(dirty, attrs, SparkCells.result(destructive),
       detOnly().limit(0))
     assert(TestUtil.toMap(res.repaired, attrs) === TestUtil.toMap(dirty, attrs))
   }
@@ -48,7 +48,7 @@ class DetectionGuardSpec extends ReproSpec {
   test("guarded wrapper renames and requires detections") {
     val inner = new RepairAlgorithm {
       val name = "Dummy"; val category = "Rule-Driven"
-      def repair(in: RepairInput) = RepairResult(in.dirty)
+      def repair(in: RepairInput) = SparkCells.result(in.dirty)
     }
     val g = DetectionGuard.guarded(inner)
     assert(g.name === "Dummy+ED")
@@ -59,7 +59,7 @@ class DetectionGuardSpec extends ReproSpec {
   test("guarded wrapper passes through repairs on detected cells") {
     val fixer = new RepairAlgorithm {
       val name = "Fixer"; val category = "Rule-Driven"
-      def repair(in: RepairInput) = RepairResult(destructive)
+      def repair(in: RepairInput) = SparkCells.result(destructive)
     }
     val in = RepairInput(spark, "t", dirty, attrs, Nil,
       detections = Some(detOnly((1L, "b"))))

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.{ReproSpec, SparkJobs}
-import repro.algos.{MLNClean, Nadeef, Relative}
+import repro.algos.{Algorithms, MLNClean, Nadeef, Relative}
 import repro.data.HospitalGen
 import repro.detect.Raha
 
@@ -45,6 +45,33 @@ class HarnessSpec extends ReproSpec {
       assert(guarded.status === "ok")
       assert(guardedJobs <= 1)
       det.unpersist()
+    } finally gd.unpersist()
+  }
+
+  test("runOne runs no Spark job for any of the twelve algorithms") {
+    val gd = miniHospital
+    try {
+      val det = Raha.detect(gd.dirty, gd.attrs, gd.rules, gd.labeled)
+      for (algo <- Algorithms.all) {
+        val (o, jobs) = SparkJobs.count(spark)(
+          Harness.runOne(algo, gd, budgetMs = 120000, precomputedDetections = Some(det)))
+        assert(o.status === (if (algo eq Relative) "n/a" else "ok"), algo.name)
+        assert(jobs === 0, algo.name)
+      }
+    } finally gd.unpersist()
+  }
+
+  test("runOne reads n/a for a repair that returns over budget inside the grace window") {
+    val gd = miniHospital
+    try {
+      val slow = new RepairAlgorithm {
+        val name = "Slow"; val category = "Test"
+        def repair(in: RepairInput) = { Thread.sleep(1500); RepairResult(in.spark, in.table, None) }
+      }
+      val o = Harness.runOne(slow, gd, budgetMs = 1000)
+      assert(o.status === "n/a")
+      assert(o.eval.isEmpty)
+      assert(o.repairSeconds >= 1.0, s"${o.repairSeconds}s")
     } finally gd.unpersist()
   }
 

@@ -2,21 +2,19 @@ package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame, functions => F}
 
-/** Rule-violation detection as DataFrame programs.
+/** Reference implementation of rule-violation detection as DataFrame
+  * programs; [[RuleIndex]] is the driver version tests check against it.
   *
   * FD violations come from a groupBy on the LHS (groups with more than one
   * distinct RHS value); DC violations from a self-join where equality
   * predicates become join keys and order predicates post-join filters.
   */
-object Violations {
+object SparkViolations {
   import Cells.Tid
-
-  /** Separator for composite LHS group keys. */
-  val Sep = "\u0001"
 
   /** Composite group-key column for an FD LHS. */
   def groupKey(lhs: Seq[String]): Column =
-    F.concat_ws(Sep, lhs.map(F.col): _*)
+    F.concat_ws(Tabular.Sep, lhs.map(F.col): _*)
 
   /** Per-FD pattern statistics: `(lhsKey, rhsVal, cnt)`. */
   def fdPatternCounts(df: DataFrame, fd: FD): DataFrame =
@@ -105,7 +103,7 @@ object Violations {
           case None     => dcViolatingCells(df, dc)
         }
     }
-    if (frames.isEmpty) Cells.noRepairs(df).withColumnRenamed("value", "rule")
+    if (frames.isEmpty) SparkCells.noRepairs(df).withColumnRenamed("value", "rule")
     else frames.reduce(_ union _).distinct()
   }
 }

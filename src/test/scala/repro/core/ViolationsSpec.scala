@@ -13,7 +13,7 @@ class ViolationsSpec extends ReproSpec {
     Pred("State", "!=", PredOperand.Attr("State"))))
 
   test("fdViolatingGroups finds the Nash group (paper Example 2.3)") {
-    val g = Violations.fdViolatingGroups(inhabitants(spark), fdGender).collect()
+    val g = SparkViolations.fdViolatingGroups(inhabitants(spark), fdGender).collect()
     assert(g.length === 1)
     assert(g(0).getAs[String]("lhsKey") === "Nash")
     assert(g(0).getAs[Long]("nDistinct") === 2)
@@ -21,17 +21,17 @@ class ViolationsSpec extends ReproSpec {
   }
 
   test("fdViolatingGroups is empty on consistent data") {
-    assert(Violations.fdViolatingGroups(inhabitants(spark), fdState).count() === 0)
+    assert(SparkViolations.fdViolatingGroups(inhabitants(spark), fdState).count() === 0)
   }
 
   test("fdViolatingCells covers RHS and LHS cells of the violating group") {
-    val cells = Violations.fdViolatingCells(inhabitants(spark), fdGender).collect()
+    val cells = SparkViolations.fdViolatingCells(inhabitants(spark), fdGender).collect()
       .map(r => (r.getLong(0), r.getString(1))).toSet
     assert(cells === Set((2L, "Gender"), (3L, "Gender"), (2L, "LastName"), (3L, "LastName")))
   }
 
   test("fdViolatingCells can restrict to RHS") {
-    val cells = Violations
+    val cells = SparkViolations
       .fdViolatingCells(inhabitants(spark), fdGender, includeLhs = false)
       .collect().map(r => (r.getLong(0), r.getString(1))).toSet
     assert(cells === Set((2L, "Gender"), (3L, "Gender")))
@@ -39,7 +39,7 @@ class ViolationsSpec extends ReproSpec {
 
   test("violating group count matches DuckDB") {
     val df = inhabitants(spark)
-    val got = Violations.fdViolatingGroups(df, fdGender)
+    val got = SparkViolations.fdViolatingGroups(df, fdGender)
       .agg(F.count(F.lit(1)).as("n"))
     Oracle.assertEquivalent(got,
       "SELECT count(*) AS n FROM (SELECT LastName FROM t GROUP BY LastName " +
@@ -49,7 +49,7 @@ class ViolationsSpec extends ReproSpec {
 
   test("fdPatternCounts matches DuckDB frequency table") {
     val df = inhabitants(spark)
-    val got = Violations.fdPatternCounts(df, fdState)
+    val got = SparkViolations.fdPatternCounts(df, fdState)
       .select(F.col("lhsKey"), F.col("rhsVal"), F.col("cnt"))
     Oracle.assertEquivalent(got,
       "SELECT City AS lhsKey, State AS rhsVal, count(*) AS cnt FROM t GROUP BY City, State",
@@ -59,21 +59,21 @@ class ViolationsSpec extends ReproSpec {
   test("composite-LHS pattern counts use the joint key") {
     val df = inhabitants(spark)
     val fd = FD(Seq("FirstName", "LastName"), "Gender")
-    val pats = Violations.fdPatternCounts(df, fd).collect()
+    val pats = SparkViolations.fdPatternCounts(df, fd).collect()
     // Anne Nash appears twice with two genders
     val anne = pats.filter(_.getAs[String]("lhsKey").contains("Anne"))
     assert(anne.length === 2)
   }
 
   test("dcViolatingPairs empty on clean city/state") {
-    assert(Violations.dcViolatingPairs(inhabitants(spark), dcCityState).count() === 0)
+    assert(SparkViolations.dcViolatingPairs(inhabitants(spark), dcCityState).count() === 0)
   }
 
   test("dcViolatingPairs flags a conflicting city/state pair both ways") {
     val df = mkDf(spark, inhabitantAttrs)(
       Seq("A", "B", "Male", "Austin", "Texas"),
       Seq("C", "D", "Male", "Austin", "Nevada"))
-    val pairs = Violations.dcViolatingPairs(df, dcCityState).collect()
+    val pairs = SparkViolations.dcViolatingPairs(df, dcCityState).collect()
       .map(r => (r.getLong(0), r.getLong(1))).toSet
     assert(pairs === Set((0L, 1L), (1L, 0L)))
   }
@@ -88,7 +88,7 @@ class ViolationsSpec extends ReproSpec {
       Pred("state", "=", PredOperand.Attr("state")),
       Pred("salary", ">", PredOperand.Attr("salary"), numeric = true),
       Pred("rate", "<", PredOperand.Attr("rate"), numeric = true)))
-    val pairs = Violations.dcViolatingPairs(df, dc).collect()
+    val pairs = SparkViolations.dcViolatingPairs(df, dc).collect()
       .map(r => (r.getLong(0), r.getLong(1))).toSet
     assert(pairs === Set((0L, 1L)))
   }
@@ -104,7 +104,7 @@ class ViolationsSpec extends ReproSpec {
       Pred("state", "=", PredOperand.Attr("state")),
       Pred("salary", ">", PredOperand.Attr("salary"), numeric = true),
       Pred("rate", "<", PredOperand.Attr("rate"), numeric = true)))
-    val got = Violations.dcViolatingPairs(df, dc).agg(F.count(F.lit(1)).as("n"))
+    val got = SparkViolations.dcViolatingPairs(df, dc).agg(F.count(F.lit(1)).as("n"))
     Oracle.assertEquivalent(got,
       "SELECT count(*) AS n FROM t t1, t t2 WHERE t1.__tid <> t2.__tid " +
         "AND t1.state = t2.state AND CAST(t1.salary AS DOUBLE) > CAST(t2.salary AS DOUBLE) " +
@@ -116,23 +116,23 @@ class ViolationsSpec extends ReproSpec {
     val df = mkDf(spark, inhabitantAttrs)(
       Seq("A", "Nash", "Male", "Austin", "Texas"),
       Seq("B", "Nash", "Female", "Austin", "Nevada"))
-    val cells = Violations.violatingCells(df, Seq(fdGender, dcCityState)).collect()
+    val cells = SparkViolations.violatingCells(df, Seq(fdGender, dcCityState)).collect()
       .map(r => (r.getLong(0), r.getString(1))).toSet
     assert(cells.contains((0L, "Gender")))
     assert(cells.contains((1L, "State")))
   }
 
   test("violatingCells on no rules is empty") {
-    assert(Violations.violatingCells(inhabitants(spark), Nil).count() === 0)
+    assert(SparkViolations.violatingCells(inhabitants(spark), Nil).count() === 0)
   }
 
   test("FD-shaped DC routes through the FD detector") {
     val df = mkDf(spark, inhabitantAttrs)(
       Seq("A", "B", "Male", "Austin", "Texas"),
       Seq("C", "D", "Male", "Austin", "Nevada"))
-    val viaDc = Violations.violatingCells(df, Seq(dcCityState)).collect()
+    val viaDc = SparkViolations.violatingCells(df, Seq(dcCityState)).collect()
       .map(r => (r.getLong(0), r.getString(1))).toSet
-    val viaFd = Violations.violatingCells(df, Seq(FD(Seq("City"), "State"))).collect()
+    val viaFd = SparkViolations.violatingCells(df, Seq(FD(Seq("City"), "State"))).collect()
       .map(r => (r.getLong(0), r.getString(1))).toSet
     assert(viaDc === viaFd)
   }

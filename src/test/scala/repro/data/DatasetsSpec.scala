@@ -10,7 +10,7 @@ import repro.core._
 class DatasetsSpec extends ReproSpec {
 
   private def violationsOnClean(gd: GeneratedDataset): Long =
-    Violations.violatingCells(gd.clean, gd.rules).count()
+    SparkViolations.violatingCells(gd.clean, gd.rules).count()
 
   private def checkGen(gen: DataGen, rows: Int): Unit = {
     val gd = gen.generate(spark, rows, gen.defaultSpec(11), 11)
@@ -38,7 +38,7 @@ class DatasetsSpec extends ReproSpec {
     for (gen <- Datasets.all; seed <- Seq(11L, 12L)) {
       val gd = gen.generate(spark, if (gen == TaxGen) 2000 else 400, gen.defaultSpec(seed), seed)
       try {
-        val errors = Cells.changedCells(gd.dirty, gd.clean, gd.attrs).collect()
+        val errors = SparkCells.changedCells(gd.dirty, gd.clean, gd.attrs).collect()
           .map(r => (r.getLong(0), r.getString(1)) -> r.getString(3)).toMap
         assert(gd.errors === errors, s"${gen.name} at seed $seed")
         val table = Tabular.collect(gd.dirty, gd.attrs)
@@ -96,7 +96,7 @@ class DatasetsSpec extends ReproSpec {
     val gd = TaxGen.generate(spark, 1500, TaxGen.defaultSpec(5), 5)
     try {
       val dc = gd.rules.collectFirst { case d: DC => d }.get
-      assert(Violations.dcViolatingPairs(gd.clean, dc).count() === 0)
+      assert(SparkViolations.dcViolatingPairs(gd.clean, dc).count() === 0)
     } finally gd.unpersist()
   }
 
@@ -104,7 +104,7 @@ class DatasetsSpec extends ReproSpec {
     val gd = TaxGen.generate(spark, 1500, TaxGen.defaultSpec(5), 5)
     try {
       val dc = gd.rules.collectFirst { case d: DC => d }.get
-      assert(Violations.dcViolatingPairs(gd.dirty, dc).count() > 0)
+      assert(SparkViolations.dcViolatingPairs(gd.dirty, dc).count() > 0)
     } finally gd.unpersist()
   }
 

@@ -1,7 +1,7 @@
 package repro.detect
 
 import org.apache.spark.sql.{DataFrame, functions => F}
-import repro.core.{Cells, DC, FD, Rule, Tabular, Violations}
+import repro.core.{Cells, DC, FD, Rule, SparkCells, SparkViolations, Tabular}
 
 /** Reference implementation of [[Raha]]: the same detectors and selection
   * as DataFrame programs over the melted cell view. Tests check the driver
@@ -32,7 +32,7 @@ object SparkRaha {
     */
   def detectorFlags(df: DataFrame, attrs: Seq[String], rules: Seq[Rule],
                     freqThreshold: Double = FreqThreshold): DataFrame =
-    flagsOver(Cells.melt(df, attrs), df, rules, freqThreshold)
+    flagsOver(SparkCells.melt(df, attrs), df, rules, freqThreshold)
 
   /** [[detectorFlags]] over `cells`, the melted `df`. */
   private def flagsOver(cells: DataFrame, df: DataFrame, rules: Seq[Rule],
@@ -63,10 +63,10 @@ object SparkRaha {
     val fdFlags = Rule.asFds(rules)
       .map(fd => fdMinorityCells(df, fd))
     val dcFlags = rules.collect { case dc: DC if Rule.dcAsFd(dc).isEmpty => dc }
-      .map(dc => Violations.dcViolatingCells(df, dc).select(F.col(Tid), F.col("attr")))
+      .map(dc => SparkViolations.dcViolatingCells(df, dc).select(F.col(Tid), F.col("attr")))
     val rule = (fdFlags ++ dcFlags)
       .reduceOption(_ union _)
-      .getOrElse(Cells.noRepairs(df).select(F.col(Tid), F.col("attr")))
+      .getOrElse(SparkCells.noRepairs(df).select(F.col(Tid), F.col("attr")))
       .select(F.col(Tid), F.col("attr"), F.lit("RULE").as("detector"))
 
     mv.union(fmt).union(freq).union(rule).distinct()
@@ -79,7 +79,7 @@ object SparkRaha {
     */
   def detect(df: DataFrame, attrs: Seq[String], rules: Seq[Rule],
              labeled: Map[(Long, String), String]): DataFrame = {
-    val cells = Cells.melt(df, attrs).cache()
+    val cells = SparkCells.melt(df, attrs).cache()
     val flags = flagsOver(cells, df, rules, FreqThreshold).cache()
     val selected: Map[String, Seq[String]] =
       if (labeled.isEmpty) attrs.map(_ -> Seq("MV", "RULE")).toMap
@@ -102,7 +102,7 @@ object SparkRaha {
                               labeled: Map[(Long, String), String]): Map[String, Seq[String]] = {
     val labeledTids = labeled.keys.map(_._1).toSet.toSeq
     // dirty values of labeled tuples
-    val dirtyVals: Map[(Long, String), String] = Cells
+    val dirtyVals: Map[(Long, String), String] = SparkCells
       .melt(df.where(F.col(Tid).isin(labeledTids: _*)), attrs)
       .collect()
       .map(r => (r.getLong(0), r.getString(1)) -> r.getString(2))
@@ -155,7 +155,7 @@ object SparkRaha {
     */
   private def fdMinorityCells(df: DataFrame, fd: FD): DataFrame = {
     import org.apache.spark.sql.expressions.Window
-    val pats = Violations.fdPatternCounts(df, fd)
+    val pats = SparkViolations.fdPatternCounts(df, fd)
     val w    = Window.partitionBy("lhsKey").orderBy(F.col("cnt").desc, F.col("rhsVal").asc)
     val tot  = Window.partitionBy("lhsKey")
     val winners = pats
@@ -163,7 +163,7 @@ object SparkRaha {
       .withColumn("nDistinct", F.count(F.lit(1)).over(tot))
       .where(F.col("rk") === 1 && F.col("nDistinct") > 1)
       .select(F.col("lhsKey"), F.col("rhsVal").as("winner"))
-    df.select(F.col(Tid), Violations.groupKey(fd.lhs).as("lhsKey"), F.col(fd.rhs).as("rhsVal"))
+    df.select(F.col(Tid), SparkViolations.groupKey(fd.lhs).as("lhsKey"), F.col(fd.rhs).as("rhsVal"))
       .join(winners, "lhsKey")
       .where(F.col("rhsVal") =!= F.col("winner"))
       .select(F.col(Tid), F.lit(fd.rhs).as("attr"))
