@@ -19,8 +19,13 @@ object BigDansing extends RepairAlgorithm {
 
   override def repair(in: RepairInput): RepairResult = {
     val idx = new RuleIndex(in.table, in.rules)
-    val fixes = idx.fds.flatMap(fd => idx.majorityFixes(fd, tieLexicMin = false)) ++
-      idx.dcs.flatMap(idx.dcOrderFixes)
+    val fixes = idx.fds.flatMap { fd =>
+      in.budget.checkTime(s"$name ${fd.id}")
+      idx.majorityFixes(fd, tieLexicMin = false)
+    } ++ idx.dcs.flatMap { dc =>
+      in.budget.checkTime(s"$name ${dc.id}")
+      idx.dcOrderFixes(dc)
+    }
     RepairResult(in.spark, in.table.patched(fixes), None)
   }
 }

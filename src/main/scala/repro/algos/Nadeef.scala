@@ -1,6 +1,5 @@
 package repro.algos
 
-import org.apache.spark.sql.{functions => F}
 import repro.core._
 
 /** NADEEF (Ebaid et al., VLDB'13) — rule-driven, generalized rules.

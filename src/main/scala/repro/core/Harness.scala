@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.data.{DataGen, Datasets, GeneratedDataset}
+import repro.data.{Datasets, GeneratedDataset}
 import repro.detect.Raha
 
 /** Shared experiment harness for Tables 4, 5 and 6 (used by the `bench/`
@@ -37,27 +37,26 @@ object Harness {
     */
   def inputFor(gd: GeneratedDataset, budget: Budget = Budget.unlimited,
                precomputedDetections: Option[DataFrame] = None): RepairInput = {
-    val spark = gd.dirty.sparkSession
     val det = precomputedDetections.getOrElse(detections(gd))
-    RepairInput(spark, gd.name, gd.dirty, gd.attrs, gd.rules, gd.numericAttrs,
-      Some(det), gd.labeled, Some(gd.classTarget), budget, Some(gd.table))
+    RepairInput(gd.spark, gd.table, gd.rules, gd.numericAttrs, Some(det), gd.labeled,
+      Some(gd.classTarget), budget)
   }
 
   /** Raha's detections on the generator's driver table, as a local
     * relation: no Spark job builds it or collects it.
     */
   private def detections(gd: GeneratedDataset): DataFrame =
-    Cells.cellFrame(gd.dirty.sparkSession, Raha.flag(gd.table, gd.rules, gd.labeled))
+    Cells.cellFrame(gd.spark, Raha.flag(gd.table, gd.rules, gd.labeled))
 
   /** Run one algorithm on one dataset under a wall-clock budget. A run
     * whose repair takes longer than `budgetMs` reads n/a, also when it
-    * returns inside the grace window; every n/a reports the run's real
-    * elapsed seconds.
+    * returns inside the grace window; every run that is not ok reports its
+    * real elapsed seconds.
     */
   def runOne(algo: RepairAlgorithm, gd: GeneratedDataset, budgetMs: Long,
              maxCells: Long = Long.MaxValue,
              precomputedDetections: Option[DataFrame] = None): RunOutcome = {
-    val spark = gd.dirty.sparkSession
+    val spark = gd.spark
     val budget = Budget(System.currentTimeMillis() + budgetMs, maxCells)
     val in = inputFor(gd, budget, precomputedDetections)
     val groupId = s"${algo.name}-${gd.name}-${System.nanoTime()}"
@@ -90,10 +89,10 @@ object Harness {
       case Some(Left(_: BudgetExceeded)) =>
         RunOutcome(algo.name, algo.category, gd.name, "n/a", None, elapsed)
       case Some(Left(_: SimulatedOOM)) =>
-        RunOutcome(algo.name, algo.category, gd.name, "n/a*", None, 0.0)
+        RunOutcome(algo.name, algo.category, gd.name, "n/a*", None, elapsed)
       case Some(Left(e)) =>
         Console.err.println(s"[Harness] ${algo.name} on ${gd.name} failed: $e")
-        RunOutcome(algo.name, algo.category, gd.name, "err", None, 0.0)
+        RunOutcome(algo.name, algo.category, gd.name, "err", None, elapsed)
       case Some(Right((_, secs))) if secs * 1e3 > budgetMs =>
         RunOutcome(algo.name, algo.category, gd.name, "n/a", None, secs)
       case Some(Right((res, secs))) =>
@@ -108,16 +107,13 @@ object Harness {
   def table4(spark: SparkSession, algos: Seq[RepairAlgorithm], budgetMs: Long,
              seed: Long = 7): Seq[RunOutcome] = {
     val datasets = Datasets.generateRealWorld(spark, seed)
-    val out = for (gd <- datasets) yield {
+    datasets.flatMap { gd =>
       val det = detections(gd)
-      val rows = algos.map { a =>
+      algos.map { a =>
         Console.err.println(s"[Table4] ${a.name} on ${gd.name} ...")
         runOne(a, gd, budgetMs, precomputedDetections = Some(det))
       }
-      gd.unpersist()
-      rows
     }
-    out.flatten
   }
 
   /** Render Table 4: one block per metric, datasets as rows. */
@@ -151,12 +147,8 @@ object Harness {
              taxRows: Int = 20000): Seq[DatasetStats] = {
     val gds = Datasets.generateRealWorld(spark, seed) :+
       Datasets.taxSubset(spark, taxRows, seed)
-    gds.map { gd =>
-      val st = DatasetStats(gd.name, gd.table.tids.length.toLong, gd.attrs.size,
-        gd.errorRate, gd.errorTypes)
-      gd.unpersist()
-      st
-    }
+    gds.map(gd => DatasetStats(gd.name, gd.table.tids.length.toLong, gd.attrs.size,
+      gd.errorRate, gd.errorTypes))
   }
 
   def renderTable5(stats: Seq[DatasetStats]): String = {
@@ -176,10 +168,10 @@ object Harness {
   def table6(spark: SparkSession, algos: Seq[RepairAlgorithm], sizes: Seq[Int],
              budgetMs: Long, holoCleanMaxCells: Long, seed: Long = 7): Seq[RunOutcome] = {
     val dead = scala.collection.mutable.Map.empty[String, String]
-    val rows = for (n <- sizes) yield {
+    sizes.flatMap { n =>
       val gd = Datasets.taxSubset(spark, n, seed)
       val det = detections(gd)
-      val out = algos.map { a =>
+      algos.map { a =>
         dead.get(a.name) match {
           case Some(status) =>
             RunOutcome(a.name, a.category, s"Tax-$n", status, None, 0.0)
@@ -192,10 +184,7 @@ object Harness {
             o
         }
       }
-      gd.unpersist()
-      out
     }
-    rows.flatten
   }
 
   def renderTable6(outcomes: Seq[RunOutcome]): String = {

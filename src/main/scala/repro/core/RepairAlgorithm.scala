@@ -4,35 +4,25 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import Cells.Cell
 
 /** Everything a repair algorithm may consume (Table 3's "Input" column).
-  * Algorithms read the driver-side [[table]], never the relation.
   *
-  * - `dirty`: the observed relation (`__tid` + string attrs) — OD; only
-  *   [[table]] reads it, and only when `dirtyTable` is not given
+  * - `table`: the observed relation on the driver — OD
   * - `rules`: FDs/DCs that held on the clean data — R
   * - `detections`: cells flagged by an external detector (Raha) — ADR/PDR,
   *   read through [[flagged]]
   * - `labeled`: clean values of the 20 labeled tuples — LD
   * - `classTarget`: label column for the downstream model — DM
-  * - `dirtyTable`: `dirty` on the driver, when the caller already holds it
-  *   (the harness passes the generator's copy); otherwise [[table]]
-  *   collects it once, on first use. A `copy` with another `dirty` must
-  *   reset it.
   */
 final case class RepairInput(
     spark: SparkSession,
-    name: String,
-    dirty: DataFrame,
-    attrs: Seq[String],
+    table: Tabular,
     rules: Seq[Rule],
     numericAttrs: Set[String] = Set.empty,
     detections: Option[DataFrame] = None,
     labeled: Map[(Long, String), String] = Map.empty,
     classTarget: Option[String] = None,
     budget: Budget = Budget.unlimited,
-    dirtyTable: Option[Tabular] = None,
 ) {
-  /** The dirty relation on the driver. */
-  lazy val table: Tabular = dirtyTable.getOrElse(Tabular.collect(dirty, attrs))
+  def attrs: Seq[String] = table.attrs
 
   /** The cells of `detections` on the driver, collected once, on first use. */
   lazy val flagged: Option[Set[Cell]] = detections.map(Cells.cellSet)

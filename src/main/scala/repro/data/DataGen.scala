@@ -1,52 +1,61 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import scala.util.Random
 import repro.core.{Cells, ErrorGen, Rule, Tabular}
 
-/** A generated benchmark dataset: clean + dirty DataFrames, rules and
-  * metadata, mirroring one row of the paper's Table 5.
+/** A generated benchmark dataset: the dirty rows on the driver, the error
+  * set, rules and metadata, mirroring one row of the paper's Table 5. The
+  * `clean` and `dirty` relations are views of [[table]], built on first
+  * read.
   */
 final case class GeneratedDataset(
+    spark: SparkSession,
     name: String,
-    attrs: Seq[String],
     numericAttrs: Set[String],
     rules: Seq[Rule],
-    clean: DataFrame,
-    dirty: DataFrame,
     /** Nominal error rate of the default dirty version (Table 5). */
     nominalErrorRate: Double,
     /** Error-type labels of the default dirty version (Table 5). */
     errorTypes: Seq[String],
     /** Label column for downstream/model-driven experiments. */
     classTarget: String,
-    /** Tuple ids of the 20 labeled tuples (Hyper-parameter Settings). */
-    labeledTids: Seq[Long],
     /** Clean values of the labeled tuples, keyed by (tid, attr). */
     labeled: Map[(Long, String), String],
-    /** `dirty` on the driver. */
+    /** The dirty rows. */
     table: Tabular,
     /** The error set E: `(tid, attr) -> clean value` wherever dirty and
       * clean differ, so OEC = |E|.
       */
     errors: Map[Cells.Cell, String],
 ) {
+  def attrs: Seq[String] = table.attrs
+
+  /** Tuple ids of the labeled tuples (Hyper-parameter Settings). */
+  def labeledTids: Seq[Long] = labeled.keys.map(_._1).toSeq.distinct.sorted
+
+  /** The observed relation. */
+  lazy val dirty: DataFrame = Cells.publish(spark, table)
+
+  /** The ground truth: E patched onto the dirty rows. */
+  lazy val clean: DataFrame =
+    Cells.publish(spark, table.patched(errors.toSeq.map { case ((tid, a), v) => (tid, a, v) }))
+
   /** Measured error rate |E| / (tuples × attrs) (Table 5). */
   def errorRate: Double = {
     val cells = table.tids.length.toLong * attrs.size
     if (cells == 0) 0.0 else errors.size.toDouble / cells
   }
 
-  /** Drop cached DataFrames (benchmarks iterate over many variants). */
-  def unpersist(): Unit = { clean.unpersist(); dirty.unpersist() }
+  /** Nothing to release: the views are local relations, never cached. */
+  def unpersist(): Unit = ()
 }
 
 /** Base for driver-side deterministic dataset generators.
   *
   * Generators build clean rows in memory (the paper's datasets are
-  * 1 k – 200 k tuples), inject errors via [[ErrorGen]], and publish both
-  * versions as cached DataFrames with a `__tid` column.
+  * 1 k – 200 k tuples), inject errors via [[ErrorGen]], and keep the dirty
+  * rows as a [[Tabular]] together with the error set E.
   */
 trait DataGen {
   /** Dataset display name (Table 5). */
@@ -84,16 +93,6 @@ trait DataGen {
                seed: Long): GeneratedDataset = {
     val clean = cleanRows(n, seed)
     val dirty = ErrorGen.inject(clean, attrs, numericAttrs, spec)
-    val schema = StructType(
-      StructField(Cells.Tid, LongType, nullable = false) +:
-        attrs.map(a => StructField(a, StringType, nullable = false)))
-    def toDf(rows: Array[Array[String]]): DataFrame = spark
-      .createDataFrame(
-        spark.sparkContext.parallelize(
-          rows.zipWithIndex.map { case (r, i) => Row.fromSeq(i.toLong +: r.toSeq) }.toSeq,
-          math.max(1, math.min(16, n / 2000))),
-        schema)
-      .cache()
     val rnd = new Random(seed * 31 + 17)
     val tids = rnd.shuffle((0 until n).toList).take(math.min(nLabeled, n)).map(_.toLong).sorted
     val labeledMap = (for {
@@ -101,9 +100,8 @@ trait DataGen {
       (a, j) <- attrs.zipWithIndex
     } yield (tid, a) -> clean(tid.toInt)(j)).toMap
     val table = Tabular(Array.tabulate(n)(_.toLong), dirty, attrs)
-    GeneratedDataset(name, attrs, numericAttrs, rules, toDf(clean), toDf(dirty),
-      nominalErrorRate, errorTypes, classTarget, tids, labeledMap,
-      table, table.diff(table.copy(rows = clean)))
+    GeneratedDataset(spark, name, numericAttrs, rules, nominalErrorRate, errorTypes,
+      classTarget, labeledMap, table, table.diff(table.copy(rows = clean)))
   }
 
   // ----- shared vocabulary helpers -----

@@ -1,6 +1,5 @@
 package repro.data
 
-import scala.util.Random
 import repro.core._
 
 /** Synthetic stand-in for the BART Tax dataset (Table 5: 200 000 tuples,

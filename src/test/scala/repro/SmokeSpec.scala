@@ -10,7 +10,7 @@ class SmokeSpec extends SparkSpec {
 
   test("hospital mini pipeline runs and improves with MLNClean") {
     val gd = HospitalGen.generate(spark, 200, HospitalGen.defaultSpec(1), 1)
-    val in = RepairInput(spark, gd.name, gd.dirty, gd.attrs, gd.rules,
+    val in = RepairInput(spark, gd.table, gd.rules,
       gd.numericAttrs, None, gd.labeled, Some(gd.classTarget))
     val res = MLNClean.repair(in)
     val ev = Metrics.evaluate(gd.dirty, res.repaired, gd.clean, gd.attrs, res.detections)

@@ -26,22 +26,19 @@ class RuleAlgorithmsReferenceSpec extends ReproSpec {
     val label = s"${gen.name}${size.fold("")(n => s"-$n")}"
     test(s"ported rule algorithms and violating cells equal the references on $label at seed $seed") {
       val gd = size.fold(gen.generate(spark, seed))(n => gen.generate(spark, n, gen.defaultSpec(seed), seed))
-      try {
-        val in = RepairInput(spark, gd.name, gd.dirty, gd.attrs, gd.rules, gd.numericAttrs,
-          dirtyTable = Some(gd.table))
-        val mismatches = ported.flatMap { case (algo, reference) =>
-          val (got, want) = (algo.repair(in), reference.repair(in))
-          val differ = got.table.tids.toSeq != want.table.tids.toSeq ||
-            got.table.rows.map(_.toSeq).toSeq != want.table.rows.map(_.toSeq).toSeq ||
-            got.flagged != want.flagged
-          if (differ) Some(s"${algo.name}: cells that differ ${want.table.diff(got.table).take(5)}")
-          else None
-        }
-        assert(mismatches.isEmpty, mismatches.mkString("; "))
-        val cells = new RuleIndex(gd.table, gd.rules).violatingCells
-        val want = Cells.cellSet(SparkViolations.violatingCells(gd.dirty, gd.rules))
-        assert(cells === want, s"index only: ${(cells -- want).take(5)}; reference only: ${(want -- cells).take(5)}")
-      } finally gd.unpersist()
+      val in = RepairInput(spark, gd.table, gd.rules, gd.numericAttrs)
+      val mismatches = ported.flatMap { case (algo, reference) =>
+        val (got, want) = (algo.repair(in), reference.repair(in))
+        val differ = got.table.tids.toSeq != want.table.tids.toSeq ||
+          got.table.rows.map(_.toSeq).toSeq != want.table.rows.map(_.toSeq).toSeq ||
+          got.flagged != want.flagged
+        if (differ) Some(s"${algo.name}: cells that differ ${want.table.diff(got.table).take(5)}")
+        else None
+      }
+      assert(mismatches.isEmpty, mismatches.mkString("; "))
+      val cells = new RuleIndex(gd.table, gd.rules).violatingCells
+      val want = Cells.cellSet(SparkViolations.violatingCells(gd.dirty, gd.rules))
+      assert(cells === want, s"index only: ${(cells -- want).take(5)}; reference only: ${(want -- cells).take(5)}")
     }
   }
 }

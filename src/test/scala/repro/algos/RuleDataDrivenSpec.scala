@@ -58,7 +58,7 @@ class RelativeSpec extends ReproSpec with AlgoFixtures {
       Seq("1", "B", "Y"), Seq("1", "B", "Y"),
       Seq("2", "C", "Z"), Seq("2", "C", "Z"))
     val res = Relative.repair(
-      RepairInput(spark, "t", df, attrs, Seq(FD(Seq("zip"), "state"))), maxNodes = 500)
+      RepairInput(spark, Tabular.collect(df, attrs), Seq(FD(Seq("zip"), "state"))), maxNodes = 500)
     assert(toMap(res.repaired, attrs) === toMap(df, attrs))
   }
 
@@ -67,17 +67,15 @@ class RelativeSpec extends ReproSpec with AlgoFixtures {
     // so a+b->c is not violated and nothing may change
     val attrs = Seq("a", "b", "c")
     val df = mkDf(spark, attrs)(Seq("ab", "c", "x"), Seq("a", "bc", "y"))
-    val in = RepairInput(spark, "t", df, attrs, Seq(FD(Seq("a", "b"), "c")))
+    val in = RepairInput(spark, Tabular.collect(df, attrs), Seq(FD(Seq("a", "b"), "c")))
     assert(in.table.groupBy(Seq("a", "b")).size === 2)
     assert(toMap(Relative.repair(in, maxNodes = 500).repaired, attrs) === toMap(df, attrs))
   }
 
   test("node budget trips on larger rule sets (the n/a of Tables 4 and 6)") {
     val gd = repro.data.HospitalGen.generate(spark, 120, repro.data.HospitalGen.defaultSpec(19), 19)
-    try {
-      val in = RepairInput(spark, gd.name, gd.dirty, gd.attrs, gd.rules)
-      assertThrows[BudgetExceeded](Relative.repair(in, maxNodes = 200))
-    } finally gd.unpersist()
+    val in = RepairInput(spark, gd.table, gd.rules)
+    assertThrows[BudgetExceeded](Relative.repair(in, maxNodes = 200))
   }
 
   test("no rules: identity") {
@@ -110,18 +108,16 @@ class HoloCleanSpec extends ReproSpec with AlgoFixtures {
     val rows = Seq(
       Seq("b1", "Hoppy Trail"), Seq("b1", "Hoppy Trail"), Seq("b1", "Golden Canyon"))
     val df = mkDf(spark, attrs)(rows: _*)
-    val res = HoloClean.repair(RepairInput(spark, "t", df, attrs, Nil))
+    val res = HoloClean.repair(RepairInput(spark, Tabular.collect(df, attrs), Nil))
     // "Golden Canyon" (freq 1) is flagged and overwritten by the mates' value
     assert(cell(res.repaired, attrs, 2L, "name") === "Hoppy Trail")
   }
 
   test("cell budget raises the simulated OOM (Table 6's n/a*)") {
     val gd = repro.data.TaxGen.generate(spark, 1000, repro.data.TaxGen.defaultSpec(23), 23)
-    try {
-      val in = RepairInput(spark, gd.name, gd.dirty, gd.attrs, gd.rules,
-        gd.numericAttrs, budget = Budget(maxCells = 1000))
-      assertThrows[SimulatedOOM](HoloClean.repair(in))
-    } finally gd.unpersist()
+    val in = RepairInput(spark, gd.table, gd.rules,
+      gd.numericAttrs, budget = Budget(maxCells = 1000))
+    assertThrows[SimulatedOOM](HoloClean.repair(in))
   }
 
   test("reports its internal detections") {
@@ -152,7 +148,7 @@ class BoostCleanSpec extends ReproSpec with AlgoFixtures {
       Seq(f1, s"n$i", s"c${i % 2}")
     }
     val df = mkDf(spark, attrs)(rows: _*)
-    val in = RepairInput(spark, "t", df, attrs, Nil, classTarget = Some("label"))
+    val in = RepairInput(spark, Tabular.collect(df, attrs), Nil, classTarget = Some("label"))
     val res = BoostClean.repair(in)
     val out = toMap(res.repaired, attrs)
     // every explicit MV in f1 is rewritten by the mode action
@@ -165,7 +161,7 @@ class BoostCleanSpec extends ReproSpec with AlgoFixtures {
       Seq(f1, s"n$i", s"c${i % 2}")
     }
     val df = mkDf(spark, attrs)(rows: _*)
-    val in = RepairInput(spark, "t", df, attrs, Nil, classTarget = Some("label"))
+    val in = RepairInput(spark, Tabular.collect(df, attrs), Nil, classTarget = Some("label"))
     val res = BoostClean.repair(in)
     val changed = SparkCells.changedCells(df, res.repaired, attrs).collect()
     assert(changed.forall(r => r.getString(1) != "label"))
@@ -176,7 +172,7 @@ class BoostCleanSpec extends ReproSpec with AlgoFixtures {
       Seq((i % 2).toString, s"unique$i", s"c${i % 2}")
     }
     val df = mkDf(spark, attrs)(rows: _*)
-    val in = RepairInput(spark, "t", df, attrs, Nil, classTarget = Some("label"))
+    val in = RepairInput(spark, Tabular.collect(df, attrs), Nil, classTarget = Some("label"))
     val res = BoostClean.repair(in)
     val f2vals = toMap(res.repaired, attrs).values.map(_(1)).toSet
     // the rare-value detector flags every f2 cell; mode imputation
@@ -190,7 +186,7 @@ class BoostCleanSpec extends ReproSpec with AlgoFixtures {
       Seq(f1, s"n$i", s"c${i % 2}")
     }
     val df = mkDf(spark, attrs)(rows: _*)
-    val in = RepairInput(spark, "t", df, attrs, Nil, classTarget = Some("label"))
+    val in = RepairInput(spark, Tabular.collect(df, attrs), Nil, classTarget = Some("label"))
     val res = BoostClean.repair(in)
     val det = res.detections.get.collect().map(r => (r.getLong(0), r.getString(1))).toSet
     val changed = SparkCells.changedCells(df, res.repaired, attrs).collect()

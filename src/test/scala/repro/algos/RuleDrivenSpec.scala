@@ -30,7 +30,7 @@ trait AlgoFixtures { self: ReproSpec =>
 
   def inputOf(df: org.apache.spark.sql.DataFrame, rules: Seq[Rule],
               attrs: Seq[String] = cityAttrs): RepairInput =
-    RepairInput(spark, "test", df, attrs, rules)
+    RepairInput(spark, Tabular.collect(df, attrs), rules)
 }
 
 class HolisticSpec extends ReproSpec with AlgoFixtures {
@@ -90,7 +90,7 @@ class HolisticSpec extends ReproSpec with AlgoFixtures {
       Pred("state", "=", PredOperand.Attr("state")),
       Pred("salary", ">", PredOperand.Attr("salary"), numeric = true),
       Pred("rate", "<", PredOperand.Attr("rate"), numeric = true)))
-    val res = Holistic.repair(RepairInput(spark, "t", df, attrs, Seq(dc)))
+    val res = Holistic.repair(RepairInput(spark, Tabular.collect(df, attrs), Seq(dc)))
     assert(cell(res.repaired, attrs, 3L, "rate") === "5")
   }
 
@@ -138,6 +138,12 @@ class BigDansingSpec extends ReproSpec with AlgoFixtures {
     assert(cell(h.repaired, cityAttrs, 1L, "city") === "Alpha") // tie: lexic min
     assert(cell(b.repaired, cityAttrs, 0L, "city") === "Zeta")  // tie: lexic max
   }
+
+  test("budget deadline aborts the run") {
+    val in = inputOf(cityDf, Seq(zipCity))
+      .copy(budget = Budget(deadlineMs = System.currentTimeMillis() - 1))
+    assertThrows[BudgetExceeded](BigDansing.repair(in))
+  }
 }
 
 class HorizonSpec extends ReproSpec with AlgoFixtures {
@@ -166,7 +172,7 @@ class HorizonSpec extends ReproSpec with AlgoFixtures {
       Pred("state", "=", PredOperand.Attr("state")),
       Pred("salary", ">", PredOperand.Attr("salary"), numeric = true),
       Pred("rate", "<", PredOperand.Attr("rate"), numeric = true)))
-    val res = Horizon.repair(RepairInput(spark, "t", df, attrs, Seq(dc)))
+    val res = Horizon.repair(RepairInput(spark, Tabular.collect(df, attrs), Seq(dc)))
     assert(toMap(res.repaired, attrs) === toMap(df, attrs))
   }
 

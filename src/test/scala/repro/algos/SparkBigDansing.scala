@@ -22,7 +22,7 @@ object SparkBigDansing extends RepairAlgorithm {
   import Cells.Tid
 
   override def repair(in: RepairInput): RepairResult = {
-    val df = in.dirty
+    val df = Cells.publish(in.spark, in.table)
     val fdFixes = in.fds.map(fd => genFix(df, fd))
     val dcFixes = Rule.pureDcs(in.rules).map(dc => SparkCommon.dcOrderRepairs(df, dc))
     val all = (fdFixes ++ dcFixes).reduceOption(_ union _).getOrElse(SparkCells.noRepairs(df))

@@ -27,7 +27,7 @@ object SparkHolistic extends RepairAlgorithm {
   private val Rounds = 2
 
   override def repair(in: RepairInput): RepairResult = {
-    var df: DataFrame = in.dirty
+    var df: DataFrame = Cells.publish(in.spark, in.table)
     var round = 0
     while (round < Rounds) {
       in.budget.checkTime(s"$name round $round")

@@ -21,7 +21,7 @@ object SparkHorizon extends RepairAlgorithm {
   override val category = "Rule-Driven"
 
   override def repair(in: RepairInput): RepairResult = {
-    var df: DataFrame = in.dirty
+    var df: DataFrame = Cells.publish(in.spark, in.table)
     // the pattern graph's edges connect single values left-to-right, so
     // only single-attribute-LHS dependencies materialize as patterns
     val ordered = in.fds.filter(_.lhs.size == 1)

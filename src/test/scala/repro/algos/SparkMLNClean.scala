@@ -1,6 +1,5 @@
 package repro.algos
 
-import org.apache.spark.sql.DataFrame
 import repro.core._
 
 /** Reference implementation of [[MLNClean]] as DataFrame programs, the
@@ -27,7 +26,7 @@ object SparkMLNClean extends RepairAlgorithm {
   private val MinSupport = 3L
 
   override def repair(in: RepairInput): RepairResult = {
-    val df = in.dirty
+    val df = Cells.publish(in.spark, in.table)
     val fixes = in.fds
       .map(fd => SparkCommon.fdMajorityRepairs(df, fd, tieLexicMin = true,
         minSupport = MinSupport, minConfidence = MinReliability))

@@ -28,7 +28,7 @@ object SparkUnified extends RepairAlgorithm {
   private val RuleRepairCostBase = 8.0
 
   override def repair(in: RepairInput): RepairResult = {
-    val df = in.dirty
+    val df = Cells.publish(in.spark, in.table)
     val n = df.count().toDouble
     val fixes = in.fds.flatMap { fd =>
       in.budget.checkTime(s"$name ${fd.id}")

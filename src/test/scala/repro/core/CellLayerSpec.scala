@@ -130,8 +130,8 @@ class CellLayerSpec extends ReproSpec {
       val det = if (withDet) Some(detectionsDf(c.detections)) else None
       val (d, k) = (cellsOf(c.attrs, c.dirty), cellsOf(c.attrs, c.clean))
       val table = Tabular(c.dirty.indices.map(_.toLong).toArray, c.dirty.map(_.toArray).toArray, c.attrs)
-      val gd = GeneratedDataset("random", c.attrs, Set.empty, Nil, clean, dirty, 0.0, Nil,
-        c.attrs.last, Nil, Map.empty, table, d.collect { case (cell, v) if v != k(cell) => cell -> k(cell) })
+      val gd = GeneratedDataset(spark, "random", Set.empty, Nil, 0.0, Nil, c.attrs.last, Map.empty,
+        table, d.collect { case (cell, v) if v != k(cell) => cell -> k(cell) })
       val fixed = new RepairAlgorithm {
         val name = "Fixed"; val category = "Test"
         def repair(in: RepairInput) = SparkCells.result(repaired, det)

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.{functions => F}
 import repro.{ReproSpec, TestUtil}
 
 class DetectionGuardSpec extends ReproSpec {
@@ -48,11 +47,11 @@ class DetectionGuardSpec extends ReproSpec {
   test("guarded wrapper renames and requires detections") {
     val inner = new RepairAlgorithm {
       val name = "Dummy"; val category = "Rule-Driven"
-      def repair(in: RepairInput) = SparkCells.result(in.dirty)
+      def repair(in: RepairInput) = SparkCells.result(Cells.publish(in.spark, in.table))
     }
     val g = DetectionGuard.guarded(inner)
     assert(g.name === "Dummy+ED")
-    val in = RepairInput(spark, "t", dirty, attrs, Nil)
+    val in = RepairInput(spark, Tabular.collect(dirty, attrs), Nil)
     assertThrows[IllegalArgumentException](g.repair(in))
   }
 
@@ -61,7 +60,7 @@ class DetectionGuardSpec extends ReproSpec {
       val name = "Fixer"; val category = "Rule-Driven"
       def repair(in: RepairInput) = SparkCells.result(destructive)
     }
-    val in = RepairInput(spark, "t", dirty, attrs, Nil,
+    val in = RepairInput(spark, Tabular.collect(dirty, attrs), Nil,
       detections = Some(detOnly((1L, "b"))))
     val res = DetectionGuard.guarded(fixer).repair(in)
     assert(TestUtil.cell(res.repaired, attrs, 1L, "b") === "y")

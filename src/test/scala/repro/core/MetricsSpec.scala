@@ -93,8 +93,7 @@ class MetricsSpec extends ReproSpec {
   private def dataset(observed: Seq[Seq[String]]): GeneratedDataset = {
     val table = Tabular(Array(0L, 1L, 2L), observed.map(_.toArray).toArray, attrs)
     val truth = table.copy(rows = Array(Array("1", "x"), Array("2", "y"), Array("3", "z")))
-    GeneratedDataset("t", attrs, Set.empty, Nil, clean, TestUtil.mkDf(spark, attrs)(observed: _*),
-      0.0, Nil, "b", Nil, Map.empty, table, table.diff(truth))
+    GeneratedDataset(spark, "t", Set.empty, Nil, 0.0, Nil, "b", Map.empty, table, table.diff(truth))
   }
 
   test("errorRate measures cell-level disparity") {

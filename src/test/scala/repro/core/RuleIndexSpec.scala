@@ -89,7 +89,7 @@ class RuleIndexSpec extends ReproSpec {
       assert(idx.violatingCells === cells, s"violating cells in $at")
 
       // each port equals the reference proposals patched in rule order
-      val in = RepairInput(spark, "t", df, attrs, rules, dirtyTable = Some(table))
+      val in = RepairInput(spark, table, rules)
       def patchedBy(t: Tabular, proposals: DataFrame => Seq[Fix]): Tabular =
         t.patched(proposals(Cells.publish(spark, t)))
 

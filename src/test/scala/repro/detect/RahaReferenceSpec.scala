@@ -46,8 +46,7 @@ class RahaReferenceSpec extends ReproSpec {
   for ((gen, size) <- cases; seed <- Seq(7L, 11L, 308L)) {
     test(s"driver detection equals the reference on ${gen.name}${size.fold("")(n => s"-$n")} at seed $seed") {
       val gd = size.fold(gen.generate(spark, seed))(n => gen.generate(spark, n, gen.defaultSpec(seed), seed))
-      try assertSame(gd.dirty, gd.table, gd.rules, gd.labeled, s"${gd.name} seed $seed")
-      finally gd.unpersist()
+      assertSame(gd.dirty, gd.table, gd.rules, gd.labeled, s"${gd.name} seed $seed")
     }
   }
 

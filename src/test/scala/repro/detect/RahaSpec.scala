@@ -62,7 +62,6 @@ class RahaSpec extends ReproSpec {
     val ev = Metrics.evaluate(gd.dirty, gd.dirty, gd.clean, gd.attrs, Some(det))
     info(f"raha hospital-400 ED precision=${ev.edPrecision}%.3f recall=${ev.edRecall}%.3f f1=${ev.edF1}%.3f")
     assert(ev.edF1 > 0.3, s"ED F1 too low: ${ev.edF1}")
-    gd.unpersist()
   }
 
   test("detection output has no duplicate cells") {
