@@ -5,6 +5,7 @@ import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 
 class NaiveBayesSpec extends AnyFunSuite {
+  import NaiveBayesSpec.Case
 
   private def xor(n: Int): (Array[Array[String]], Array[String]) = {
     val feats = Array.tabulate(n)(i => Array((i % 2).toString, ((i / 2) % 2).toString))
@@ -72,10 +73,6 @@ class NaiveBayesSpec extends AnyFunSuite {
     assert(nb.predict(Array("2")) === "c2")
   }
 
-  /** A training set, feature `f`'s new column, and a validation set. */
-  private final case class Case(train: Array[Array[String]], y: Array[String], f: Int,
-                                column: Array[String], valX: Array[Array[String]], valY: Array[String])
-
   // Small alphabets make tied label scores common; `mirrored` copies every
   // training row under the next label, which ties those labels outright.
   // The new column and the validation rows draw values training never saw.
@@ -130,4 +127,10 @@ class NaiveBayesSpec extends AnyFunSuite {
     for (k <- Seq("unseen value", "tied scores", "one label", "empty validation"))
       assert(seen(k) > 0, s"no case with $k")
   }
+}
+
+object NaiveBayesSpec {
+  /** A training set, feature `f`'s new column, and a validation set. */
+  private final case class Case(train: Array[Array[String]], y: Array[String], f: Int,
+                                column: Array[String], valX: Array[Array[String]], valY: Array[String])
 }
