@@ -54,30 +54,33 @@ object Baran extends RepairAlgorithm {
 
     // vicinity model support: per attribute, inverted index value -> rows
     val index = tab.valueRows()
-    // domain model support: per attribute, value frequency over un-flagged cells
-    val domainFreq: Map[Int, Map[String, Int]] = in.attrs.indices.map { j =>
+    // domain model: per attribute, the share of each value among un-flagged cells
+    val domain: IndexedSeq[Map[String, Double]] = in.attrs.indices.map { j =>
       val attr = in.attrs(j)
-      val clean = tab.rows.indices
+      val freq = tab.rows.indices
         .filter(i => !detections.contains((tab.tids(i), attr)))
         .map(i => tab.rows(i)(j))
-      j -> clean.groupBy(identity).view.mapValues(_.size).toMap
-    }.toMap
+        .groupBy(identity).view.mapValues(_.size).toMap
+      val dTotal = freq.values.sum.toDouble
+      if (dTotal == 0) Map.empty[String, Double] else freq.map { case (v, c) => v -> c / dTotal }
+    }
 
-    def candidates(i: Int, j: Int): Map[String, Map[String, Double]] = {
-      val attr = in.attrs(j)
+    // value model
+    def valueCands(i: Int, j: Int): Map[String, Double] = {
       val observed = tab.rows(i)(j)
-      // value model
-      val valueCands: Map[String, Double] = {
-        val exact = exactMap.get((attr, observed)).map(_ -> 1.0)
-        val trans = usefulTransforms.map(t => t(observed))
-          .filter(v => v != observed && domainFreq(j).getOrElse(v, 0) > 0)
-          .map(_ -> 0.8)
-        (exact.toSeq ++ trans).groupBy(_._1).view.mapValues(_.map(_._2).max).toMap
-      }
-      // vicinity model: values of attr co-occurring with the tuple's other
-      // (un-flagged) values; near-constant source attributes carry no
-      // signal and are skipped (Baran keeps informative contexts only)
-      val maxMates = math.max(20, tab.rows.length / 5)
+      val exact = exactMap.get((in.attrs(j), observed)).map(_ -> 1.0)
+      val trans = usefulTransforms.map(t => t(observed))
+        .filter(v => v != observed && domain(j).contains(v))
+        .map(_ -> 0.8)
+      (exact.toSeq ++ trans).groupBy(_._1).view.mapValues(_.map(_._2).max).toMap
+    }
+
+    // vicinity model: values of attr co-occurring with the tuple's other
+    // (un-flagged) values; near-constant source attributes carry no
+    // signal and are skipped (Baran keeps informative contexts only)
+    val maxMates = math.max(20, tab.rows.length / 5)
+    def vicinityCands(i: Int, j: Int): Map[String, Double] = {
+      val attr = in.attrs(j)
       val tally = scala.collection.mutable.Map.empty[String, Int].withDefaultValue(0)
       var total = 0
       for (k <- in.attrs.indices if k != j) {
@@ -92,21 +95,17 @@ object Baran extends RepairAlgorithm {
           }
         }
       }
-      val vicinityCands: Map[String, Double] =
-        if (total == 0) Map.empty
-        else tally.toMap.map { case (v, c) => v -> c.toDouble / total }
-      // domain model
-      val dTotal = domainFreq(j).values.sum.toDouble
-      val domainCands: Map[String, Double] =
-        if (dTotal == 0) Map.empty
-        else domainFreq(j).map { case (v, c) => v -> c / dTotal }
-      Map("value" -> valueCands, "vicinity" -> vicinityCands, "domain" -> domainCands)
+      if (total == 0) Map.empty
+      else tally.toMap.map { case (v, c) => v -> c.toDouble / total }
     }
 
+    /** The best candidate: highest score, ties to the smallest value. */
+    def top(scores: Iterable[(String, Double)]): Option[(String, Double)] =
+      if (scores.isEmpty) None else Some(scores.minBy { case (v, s) => (-s, v) })
+
     // ---- ensemble weights fit on the labeled corrections ----
-    val modelNames = Seq("value", "vicinity", "domain")
-    val weights: Map[String, Double] = {
-      val hits = scala.collection.mutable.Map.empty[String, Int].withDefaultValue(0)
+    val (wValue, wVicinity, wDomain) = {
+      val hits = Array(0, 0, 0)
       var tried = 0
       for {
         ((tid, attr), cleanV) <- in.labeled.toSeq.sortBy { case ((t, a), _) => (t, a) }
@@ -115,16 +114,19 @@ object Baran extends RepairAlgorithm {
         if tab.rows(i)(j) != cleanV // a labeled correction
       } {
         tried += 1
-        val cands = candidates(i, j)
-        for (m <- modelNames) {
-          val top = cands(m).toSeq.sortBy { case (v, p) => (-p, v) }.headOption
-          if (top.exists(_._1 == cleanV)) hits(m) += 1
-        }
+        for ((cands, m) <- Seq(valueCands(i, j), vicinityCands(i, j), domain(j)).zipWithIndex)
+          if (top(cands).exists(_._1 == cleanV)) hits(m) += 1
       }
-      modelNames.map { m =>
-        m -> (if (tried == 0) 0.4 else hits(m).toDouble / tried + 0.1)
-      }.toMap
+      def weight(m: Int) = if (tried == 0) 0.4 else hits(m).toDouble / tried + 0.1
+      (weight(0), weight(1), weight(2))
     }
+
+    // per attribute, its domain ranked once by (-weighted share, value):
+    // a value no other model proposes scores its domain term alone, so the
+    // first such value in this order is the best of them
+    val ranked = scala.collection.mutable.Map.empty[Int, Array[(String, Double)]]
+    def rankedDomain(j: Int): Array[(String, Double)] = ranked.getOrElseUpdate(j,
+      domain(j).toArray.map { case (v, p) => (v, wDomain * p) }.sortBy { case (v, s) => (-s, v) })
 
     // ---- repair every detected cell ----
     val fixes = scala.collection.mutable.ArrayBuffer.empty[(Long, String, String)]
@@ -134,11 +136,13 @@ object Baran extends RepairAlgorithm {
       if ((processed & 0xFF) == 0) in.budget.checkTime(s"$name cell $processed")
       val i = tab.tidIdx(tid); val j = tab.attrIdx(attr)
       val observed = tab.rows(i)(j)
-      val cands = candidates(i, j)
-      val scores = scala.collection.mutable.Map.empty[String, Double].withDefaultValue(0.0)
-      for (m <- modelNames; (v, p) <- cands(m)) scores(v) += weights(m) * p
-      val best = scores.toSeq.sortBy { case (v, s) => (-s, v) }.headOption
-      best.foreach { case (v, s) =>
+      // the value and vicinity candidates, each summing its terms in model order
+      val scores = scala.collection.mutable.HashMap.empty[String, Double]
+      for ((v, p) <- valueCands(i, j)) scores(v) = wValue * p
+      for ((v, p) <- vicinityCands(i, j)) scores(v) = scores.getOrElse(v, 0.0) + wVicinity * p
+      scores.mapValuesInPlace((v, s) => domain(j).get(v).fold(s)(s + wDomain * _))
+      rankedDomain(j).find { case (v, _) => !scores.contains(v) }.foreach(scores += _)
+      top(scores).foreach { case (v, s) =>
         if (v != observed && s >= MinScore) fixes += ((tid, attr, v))
       }
     }

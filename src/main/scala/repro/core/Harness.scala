@@ -2,7 +2,6 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.data.{Datasets, GeneratedDataset}
-import repro.detect.Raha
 
 /** Shared experiment harness for Tables 4, 5 and 6 (used by the `bench/`
   * suites).
@@ -22,6 +21,7 @@ object Harness {
       dataset: String,
       status: String, // "ok" | "n/a" | "n/a*" | "err"
       eval: Option[RepairEval],
+      /** Wall-clock of the repair alone: detection and scoring are left out. */
       repairSeconds: Double,
   ) {
     def fmt(metric: RepairEval => Double): String = status match {
@@ -31,34 +31,30 @@ object Harness {
   }
 
   /** Build the full [[RepairInput]] for a generated dataset, including
-    * Raha detections for the data-driven algorithms (Section 4.1:
-    * "the results of the state-of-the-art error detection methods Raha
-    * are adopted as inputs").
+    * the flagged cells for the data-driven algorithms (Section 4.1: "the
+    * results of the state-of-the-art error detection methods Raha are
+    * adopted as inputs"): Raha's on the dataset's table when no detections
+    * are given, else the given relation's. The dataset resolves them once
+    * per relation, so they are not collected again on every run.
     */
   def inputFor(gd: GeneratedDataset, budget: Budget = Budget.unlimited,
-               precomputedDetections: Option[DataFrame] = None): RepairInput = {
-    val det = precomputedDetections.getOrElse(detections(gd))
-    RepairInput(gd.spark, gd.table, gd.rules, gd.numericAttrs, Some(det), gd.labeled,
-      Some(gd.classTarget), budget)
-  }
-
-  /** Raha's detections on the generator's driver table, as a local
-    * relation: no Spark job builds it or collects it.
-    */
-  private def detections(gd: GeneratedDataset): DataFrame =
-    Cells.cellFrame(gd.spark, Raha.flag(gd.table, gd.rules, gd.labeled))
+               precomputedDetections: Option[DataFrame] = None): RepairInput =
+    RepairInput(gd.spark, gd.table, gd.rules, gd.numericAttrs, Some(gd.flagged(precomputedDetections)),
+      gd.labeled, Some(gd.classTarget), budget)
 
   /** Run one algorithm on one dataset under a wall-clock budget. A run
     * whose repair takes longer than `budgetMs` reads n/a, also when it
     * returns inside the grace window; every run that is not ok reports its
-    * real elapsed seconds.
+    * real elapsed seconds. The detections are resolved before the repair's
+    * clock starts, so `repairSeconds` times the algorithm alone.
     */
   def runOne(algo: RepairAlgorithm, gd: GeneratedDataset, budgetMs: Long,
              maxCells: Long = Long.MaxValue,
              precomputedDetections: Option[DataFrame] = None): RunOutcome = {
     val spark = gd.spark
-    val budget = Budget(System.currentTimeMillis() + budgetMs, maxCells)
-    val in = inputFor(gd, budget, precomputedDetections)
+    // the budget's clock starts once the detections are resolved
+    val in = inputFor(gd, precomputedDetections = precomputedDetections)
+      .copy(budget = Budget(System.currentTimeMillis() + budgetMs, maxCells))
     val groupId = s"${algo.name}-${gd.name}-${System.nanoTime()}"
 
     @volatile var result: Option[Either[Throwable, (RepairResult, Double)]] = None
@@ -108,10 +104,9 @@ object Harness {
              seed: Long = 7): Seq[RunOutcome] = {
     val datasets = Datasets.generateRealWorld(spark, seed)
     datasets.flatMap { gd =>
-      val det = detections(gd)
       algos.map { a =>
         Console.err.println(s"[Table4] ${a.name} on ${gd.name} ...")
-        runOne(a, gd, budgetMs, precomputedDetections = Some(det))
+        runOne(a, gd, budgetMs)
       }
     }
   }
@@ -170,7 +165,6 @@ object Harness {
     val dead = scala.collection.mutable.Map.empty[String, String]
     sizes.flatMap { n =>
       val gd = Datasets.taxSubset(spark, n, seed)
-      val det = detections(gd)
       algos.map { a =>
         dead.get(a.name) match {
           case Some(status) =>
@@ -178,7 +172,7 @@ object Harness {
           case None =>
             Console.err.println(s"[Table6] ${a.name} on Tax-$n ...")
             val cellBudget = if (a.name == "HoloClean") holoCleanMaxCells else Long.MaxValue
-            val o = runOne(a, gd, budgetMs, cellBudget, Some(det))
+            val o = runOne(a, gd, budgetMs, cellBudget)
               .copy(dataset = s"Tax-$n")
             if (o.status == "n/a" || o.status == "n/a*") dead(a.name) = o.status
             o

@@ -7,8 +7,7 @@ import Cells.Cell
   *
   * - `table`: the observed relation on the driver — OD
   * - `rules`: FDs/DCs that held on the clean data — R
-  * - `detections`: cells flagged by an external detector (Raha) — ADR/PDR,
-  *   read through [[flagged]]
+  * - `flagged`: cells flagged by an external detector (Raha) — ADR/PDR
   * - `labeled`: clean values of the 20 labeled tuples — LD
   * - `classTarget`: label column for the downstream model — DM
   */
@@ -17,15 +16,12 @@ final case class RepairInput(
     table: Tabular,
     rules: Seq[Rule],
     numericAttrs: Set[String] = Set.empty,
-    detections: Option[DataFrame] = None,
+    flagged: Option[Set[Cell]] = None,
     labeled: Map[(Long, String), String] = Map.empty,
     classTarget: Option[String] = None,
     budget: Budget = Budget.unlimited,
 ) {
   def attrs: Seq[String] = table.attrs
-
-  /** The cells of `detections` on the driver, collected once, on first use. */
-  lazy val flagged: Option[Set[Cell]] = detections.map(Cells.cellSet)
 
   /** FDs available to FD-only algorithms (DC-encoded FDs included). */
   def fds: Seq[FD] = Rule.asFds(rules)

@@ -3,6 +3,7 @@ package repro.data
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import scala.util.Random
 import repro.core.{Cells, ErrorGen, Rule, Tabular}
+import repro.detect.Raha
 
 /** A generated benchmark dataset: the dirty rows on the driver, the error
   * set, rules and metadata, mirroring one row of the paper's Table 5. The
@@ -40,6 +41,26 @@ final case class GeneratedDataset(
   /** The ground truth: E patched onto the dirty rows. */
   lazy val clean: DataFrame =
     Cells.publish(spark, table.patched(errors.toSeq.map { case ((tid, a), v) => (tid, a, v) }))
+
+  /** The last detection relation resolved against this dataset (None:
+    * Raha on [[table]]) and its cells.
+    */
+  private[this] var resolved: Option[(Option[DataFrame], Set[Cells.Cell])] = None
+
+  /** The cells of `detections`, or Raha's on [[table]] when none are given,
+    * resolved once per relation: the dataset remembers the last relation,
+    * by reference, with its cells, so runs that share a relation collect it
+    * once.
+    */
+  def flagged(detections: Option[DataFrame]): Set[Cells.Cell] = synchronized {
+    resolved match {
+      case Some((key, cells)) if key.orNull eq detections.orNull => cells
+      case _ =>
+        val cells = detections.fold(Raha.flag(table, rules, labeled))(Cells.cellSet)
+        resolved = Some((detections, cells))
+        cells
+    }
+  }
 
   /** Measured error rate |E| / (tuples × attrs) (Table 5). */
   def errorRate: Double = {

@@ -11,7 +11,7 @@ import repro.detect.Raha
 class IntegrationSpec extends ReproSpec {
 
   private def runEval(algo: RepairAlgorithm, gd: repro.data.GeneratedDataset,
-                      det: org.apache.spark.sql.DataFrame): RepairEval = {
+                      det: Set[Cells.Cell]): RepairEval = {
     val in = RepairInput(spark, gd.table, gd.rules,
       gd.numericAttrs, Some(det), gd.labeled, Some(gd.classTarget))
     val res = algo.repair(in)
@@ -20,7 +20,7 @@ class IntegrationSpec extends ReproSpec {
 
   test("hospital: data-aware methods beat blanket imputation (Table 4 ordering)") {
     val gd = HospitalGen.generate(spark, 400, HospitalGen.defaultSpec(41), 41)
-    val det = Raha.detect(gd.dirty, gd.attrs, gd.rules, gd.labeled).cache()
+    val det = Raha.flag(gd.table, gd.rules, gd.labeled)
     val baran = runEval(Baran, gd, det)
     val mln   = runEval(MLNClean, gd, det)
     val boost = runEval(BoostClean, gd, det)
@@ -28,22 +28,20 @@ class IntegrationSpec extends ReproSpec {
     assert(baran.edr > 0, "Baran should reduce errors on Hospital")
     assert(mln.edr > 0, "MLNClean should reduce errors on Hospital")
     assert(boost.edr < mln.edr, "BoostClean should trail MLNClean")
-    det.unpersist()
   }
 
   test("daisy and scare leave the data essentially untouched (EDR ~ 0 rows)") {
     val gd = BeersGen.generate(spark, 300, BeersGen.defaultSpec(43), 43)
-    val det = Raha.detect(gd.dirty, gd.attrs, gd.rules, gd.labeled).cache()
+    val det = Raha.flag(gd.table, gd.rules, gd.labeled)
     val daisy = runEval(Daisy, gd, det)
     val scare = runEval(Scare, gd, det)
     assert(math.abs(daisy.edr) < 0.05, s"daisy EDR ${daisy.edr}")
     assert(math.abs(scare.edr) < 0.05, s"scare EDR ${scare.edr}")
-    det.unpersist()
   }
 
   test("detection guard lifts a destructive rule-driven method (Sec 4.4)") {
     val gd = RayyanGen.generate(spark, 300, RayyanGen.defaultSpec(47), 47)
-    val det = Raha.detect(gd.dirty, gd.attrs, gd.rules, gd.labeled).cache()
+    val det = Raha.flag(gd.table, gd.rules, gd.labeled)
     val in = RepairInput(spark, gd.table, gd.rules,
       gd.numericAttrs, Some(det), gd.labeled, Some(gd.classTarget))
     val raw = Nadeef.repair(in)
@@ -52,12 +50,11 @@ class IntegrationSpec extends ReproSpec {
     val evG = Metrics.evaluate(gd.dirty, guarded.repaired, gd.clean, gd.attrs, guarded.detections)
     info(f"rayyan-300 nadeef EDR raw=${evRaw.edr}%.3f guarded=${evG.edr}%.3f")
     assert(evG.edr >= evRaw.edr, "guard must never hurt EDR here")
-    det.unpersist()
   }
 
   test("all twelve algorithms run or fail gracefully on a tiny beers slice") {
     val gd = BeersGen.generate(spark, 120, BeersGen.defaultSpec(53), 53)
-    val det = Raha.detect(gd.dirty, gd.attrs, gd.rules, gd.labeled).cache()
+    val det = Raha.flag(gd.table, gd.rules, gd.labeled)
     for (algo <- Algorithms.all) {
       val in = RepairInput(spark, gd.table, gd.rules,
         gd.numericAttrs, Some(det), gd.labeled, Some(gd.classTarget),
@@ -69,12 +66,11 @@ class IntegrationSpec extends ReproSpec {
         case _: BudgetExceeded => // Relative's expected n/a
       }
     }
-    det.unpersist()
   }
 
   test("every result scores alike from its driver fields and from its relations") {
     val gd = BeersGen.generate(spark, 120, BeersGen.defaultSpec(53), 53)
-    val det = Raha.detect(gd.dirty, gd.attrs, gd.rules, gd.labeled).cache()
+    val det = Raha.flag(gd.table, gd.rules, gd.labeled)
     for (algo <- Algorithms.all; run <- Seq(algo, DetectionGuard.guarded(algo))) {
       val in = RepairInput(spark, gd.table, gd.rules,
         gd.numericAttrs, Some(det), gd.labeled, Some(gd.classTarget),
@@ -87,7 +83,6 @@ class IntegrationSpec extends ReproSpec {
         case _: BudgetExceeded => assert(algo eq Relative, s"${run.name} tripped a budget")
       }
     }
-    det.unpersist()
   }
 
   test("registry covers the paper's twelve algorithms with categories") {

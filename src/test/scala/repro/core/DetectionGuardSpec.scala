@@ -61,7 +61,7 @@ class DetectionGuardSpec extends ReproSpec {
       def repair(in: RepairInput) = SparkCells.result(destructive)
     }
     val in = RepairInput(spark, Tabular.collect(dirty, attrs), Nil,
-      detections = Some(detOnly((1L, "b"))))
+      flagged = Some(Set((1L, "b"))))
     val res = DetectionGuard.guarded(fixer).repair(in)
     assert(TestUtil.cell(res.repaired, attrs, 1L, "b") === "y")
     assert(TestUtil.cell(res.repaired, attrs, 0L, "a") === "1")

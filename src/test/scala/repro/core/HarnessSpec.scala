@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import repro.{ReproSpec, SparkJobs}
 import repro.algos.{Algorithms, MLNClean, Nadeef, Relative}
 import repro.data.HospitalGen
@@ -35,10 +36,29 @@ class HarnessSpec extends ReproSpec {
     val (plain, plainJobs) = run(Nadeef)
     assert(plain.status === "ok")
     assert(plainJobs === 0)
-    // the guard collects the flagged cells once
+    // the dataset resolved the detections in the first run
     val (guarded, guardedJobs) = run(DetectionGuard.guarded(Nadeef))
     assert(guarded.status === "ok")
     assert(guardedJobs <= 1)
+    det.unpersist()
+  }
+
+  test("runOne collects one detection relation once per dataset, and another one anew") {
+    val gd = miniHospital
+    val det = Raha.detect(gd.dirty, gd.attrs, gd.rules, gd.labeled).localCheckpoint()
+    def run(detections: DataFrame) = SparkJobs.count(spark)(Harness.runOne(
+      DetectionGuard.guarded(Nadeef), gd, budgetMs = 120000, precomputedDetections = Some(detections)))
+    val (first, firstJobs) = run(det)
+    val (second, secondJobs) = run(det)
+    assert(first.status === "ok" && second.status === "ok")
+    assert(firstJobs + secondJobs === 1)
+    assert(secondJobs === 0)
+    assert(second.eval === first.eval)
+    assert(first.eval.get.changed > 0)
+    // no cell of the new relation is flagged, so the guard keeps no change
+    val (third, _) = run(Cells.cellFrame(spark, Set.empty))
+    assert(third.status === "ok")
+    assert(third.eval.get.changed === 0)
     det.unpersist()
   }
 
@@ -132,7 +152,7 @@ class HarnessSpec extends ReproSpec {
   test("inputFor wires detections, labels, and target") {
     val gd = miniHospital
     val in = Harness.inputFor(gd)
-    assert(in.detections.isDefined)
+    assert(in.flagged === Some(Raha.flag(gd.table, gd.rules, gd.labeled)))
     assert(in.labeled.nonEmpty)
     assert(in.classTarget === Some("condition"))
     assert(in.rules.nonEmpty)
